@@ -10,6 +10,7 @@ depend on the worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -95,8 +96,13 @@ class TailEstimate:
 def enumerate_sign_norms(x, weights, space: SpaceSpec) -> np.ndarray:
     """l_q norms of sum_i eps_i w_i x_i over all 2^n sign patterns.
 
-    Pattern k assigns eps_i = +1 when bit i of k is set.  Memory stays
-    at one (2^n, dim) accumulator; n is capped at ENUMERATION_MAX_N.
+    Pattern k assigns eps_i = +1 when bit i of k is set.  One (2^n, dim)
+    buffer fills by doubling: the sums over the bits below i give those
+    with bit i set by adding c_i = w_i x_i and those with it clear by
+    subtracting c_i, about 2^(n+1) * dim additions in all.  Each sum adds
+    its terms in the order of i, and s - c == s + (-1 * c) exactly, so the
+    norms are bit-identical to adding eps_i * c_i term by term.  n is
+    capped at ENUMERATION_MAX_N.
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
@@ -109,11 +115,12 @@ def enumerate_sign_norms(x, weights, space: SpaceSpec) -> np.ndarray:
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (n,):
         raise ConfigurationError(f"weights must have length {n}")
-    patterns = np.arange(1 << n, dtype=np.int64)
     sums = np.zeros((1 << n, space.dim))
     for i in range(n):
-        eps = np.where((patterns >> i) & 1 == 1, 1.0, -1.0)
-        sums += eps[:, None] * (w[i] * xa[i])
+        h = 1 << i
+        c = w[i] * xa[i]
+        np.add(sums[:h], c, out=sums[h : 2 * h])
+        np.subtract(sums[:h], c, out=sums[:h])
     return norms(sums, space)
 
 
@@ -137,6 +144,18 @@ def _partition(R: int, block_size: int) -> list[tuple[int, int]]:
     return blocks
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, blocks: int, cpus: int) -> int:
+    """Threads worth starting: no more than the blocks to run or the CPUs to run them."""
+    return max(1, min(threads, blocks, cpus))
+
+
 def mc_counts(
     block_fn,
     R: int,
@@ -150,7 +169,9 @@ def mc_counts(
     block_fn(rng, m) evaluates m replications and returns a dict of
     integer arrays; the dicts are summed over blocks.  Block i draws
     from key.replication(i), so the totals are invariant under the
-    thread count and the block execution order.
+    thread count and the block execution order.  Blocks run on up to
+    `threads` worker threads, never more than there are blocks or
+    usable CPUs; with one worker they run serially in the caller.
     """
     if R < 1:
         raise ConfigurationError(f"R must be >= 1, got {R}")
@@ -163,20 +184,13 @@ def mc_counts(
         rng = key.replication(i).generator()
         return block_fn(rng, m)
 
-    if threads <= 1:
+    workers = _worker_count(threads, len(blocks), _usable_cpus())
+    if workers == 1:
         results = map(run_block, blocks)
-        totals: dict[str, np.ndarray] = {}
-        for res in results:
-            for name, arr in res.items():
-                a = np.asarray(arr, dtype=np.int64)
-                if name in totals:
-                    totals[name] += a
-                else:
-                    totals[name] = a.copy()
-        return totals
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run_block, blocks))
-    totals = {}
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_block, blocks))
+    totals: dict[str, np.ndarray] = {}
     for res in results:
         for name, arr in res.items():
             a = np.asarray(arr, dtype=np.int64)

@@ -147,9 +147,37 @@ def _default_t_grid(scale: float) -> np.ndarray:
     return np.linspace(0.0, scale, DEFAULT_T_POINTS)
 
 
-def _counts_per_threshold(stat: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    # strict > matches the events everywhere in this package
-    return (stat[:, None] > thresholds[None, :]).sum(axis=0)
+def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndarray:
+    """How many entries of stat exceed each threshold, or their total integer weight.
+
+    Counts exactly what the strict stat > t of every event in this
+    package counts: ties do not exceed and NaN never does.  stat is
+    sorted once and each threshold found by binary search.
+    """
+    if weights is None:
+        ordered = np.sort(stat)
+    else:
+        order = np.argsort(stat, kind="stable")
+        ordered = stat[order]
+        cum = np.concatenate(([0], np.cumsum(np.asarray(weights, dtype=np.int64)[order])))
+    # NaN sorts last; the entries before the first NaN are the comparable ones
+    valid = int(np.searchsorted(ordered, np.nan))
+    at_most = np.searchsorted(ordered[:valid], thresholds, side="right")
+    if weights is None:
+        return valid - at_most
+    return cum[valid] - cum[at_most]
+
+
+def _reports(
+    name, tg, counts, reps, factor, config, confidence, exact=False, tail_term=None, tail_weight=0
+):
+    """One report per threshold from the lhs and rhs success counts."""
+    out = []
+    for j, t in enumerate(tg):
+        lhs = TailEstimate.from_counts(int(counts["lhs"][j]), reps, confidence, exact)
+        rhs = TailEstimate.from_counts(int(counts["rhs"][j]), reps, confidence, exact)
+        out.append(_finish_report(name, t, lhs, rhs, factor, tail_term, tail_weight, config))
+    return out
 
 
 def check_thm11_i(
@@ -199,15 +227,11 @@ def check_thm11_i(
         "mode": mode,
     }
     if mode == "exact":
-        norms_l = enumerate_sign_norms(xa, None, space)
-        norms_r = enumerate_sign_norms(t_vec, None, space)
-        reps = norms_l.size
-        out = []
-        for t in tg:
-            lhs = TailEstimate.from_counts(int((norms_l > t * b_n).sum()), reps, exact=True)
-            rhs = TailEstimate.from_counts(int((norms_r > t * a_n).sum()), reps, exact=True)
-            out.append(_finish_report("thm11_i", t, lhs, rhs, 2.0, None, 0, config))
-        return out
+        counts = {
+            "lhs": _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n),
+            "rhs": _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n),
+        }
+        return _reports("thm11_i", tg, counts, 1 << n, 2.0, config, confidence, exact=True)
     if mode != "mc":
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if R is None or key is None:
@@ -220,12 +244,7 @@ def check_thm11_i(
         return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
 
     totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    out = []
-    for j, t in enumerate(tg):
-        lhs = TailEstimate.from_counts(int(totals["lhs"][j]), R, confidence)
-        rhs = TailEstimate.from_counts(int(totals["rhs"][j]), R, confidence)
-        out.append(_finish_report("thm11_i", t, lhs, rhs, 2.0, None, 0, config))
-    return out
+    return _reports("thm11_i", tg, totals, R, 2.0, config, confidence)
 
 
 def check_contraction(
@@ -258,15 +277,11 @@ def check_contraction(
     )
     config = {"n": n, "dim": space.dim, "q": space.q, "mode": mode}
     if mode == "exact":
-        norms_l = enumerate_sign_norms(xa, w, space)
-        norms_r = enumerate_sign_norms(xa, None, space)
-        reps = norms_l.size
-        out = []
-        for t in tg:
-            lhs = TailEstimate.from_counts(int((norms_l > t).sum()), reps, exact=True)
-            rhs = TailEstimate.from_counts(int((norms_r > t).sum()), reps, exact=True)
-            out.append(_finish_report("contraction", t, lhs, rhs, 2.0, None, 0, config))
-        return out
+        counts = {
+            "lhs": _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg),
+            "rhs": _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg),
+        }
+        return _reports("contraction", tg, counts, 1 << n, 2.0, config, confidence, exact=True)
     if mode != "mc":
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if R is None or key is None:
@@ -279,12 +294,7 @@ def check_contraction(
         return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
 
     totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    out = []
-    for j, t in enumerate(tg):
-        lhs = TailEstimate.from_counts(int(totals["lhs"][j]), R, confidence)
-        rhs = TailEstimate.from_counts(int(totals["rhs"][j]), R, confidence)
-        out.append(_finish_report("contraction", t, lhs, rhs, 2.0, None, 0, config))
-    return out
+    return _reports("contraction", tg, totals, R, 2.0, config, confidence)
 
 
 def _require_extension_safe(pair: NormingPair) -> None:
@@ -364,12 +374,9 @@ def check_thm11_ii(
         "R": R,
         "mode": "mc",
     }
-    out = []
-    for j, t in enumerate(tg):
-        lhs = TailEstimate.from_counts(int(totals["lhs"][j]), R, confidence)
-        rhs = TailEstimate.from_counts(int(totals["rhs"][j]), R, confidence)
-        out.append(_finish_report("thm11_ii", t, lhs, rhs, 4.0, tail_term, n, config))
-    return out
+    return _reports(
+        "thm11_ii", tg, totals, R, 4.0, config, confidence, tail_term=tail_term, tail_weight=n
+    )
 
 
 def check_levy(
@@ -388,8 +395,10 @@ def check_levy(
 
     The differences X_i - X_i' are symmetric whatever d is.  Exact mode
     is available for the scalar random-sign law, where each difference
-    takes values in {-2, 0, 2} with probabilities (1/4, 1/2, 1/4) and
-    the joint law enumerates exactly in 3^n weighted states.
+    takes values in {-2, 0, 2} with probabilities (1/4, 1/2, 1/4).  The
+    exact counts out of the 4^n sign pairs come from the 2n + 1 values
+    of S_n - S_n', each weighted by the pairs that give it, and from the
+    2^n pairs whose maximal difference is 0.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -413,23 +422,20 @@ def check_levy(
             raise ConfigurationError(
                 f"n = {n} exceeds the 3^{LEVY_EXACT_MAX_N} exact budget; use Monte Carlo"
             )
-        powers = 3 ** np.arange(n, dtype=np.int64)
-        digits = (np.arange(3**n, dtype=np.int64)[:, None] // powers) % 3
-        # difference value per coordinate: digit 0 -> -2, 1 -> 0, 2 -> +2;
-        # a zero difference arises from two of the four sign pairs
-        mult = (1 << (digits == 1).sum(axis=1)).astype(np.int64)
-        sums = ((digits - 1) * 2.0).sum(axis=1)
-        has_jump = (digits != 1).any(axis=1)
-        reps = 4**n
-        out = []
-        for t in tg:
-            max_exceeds = 2.0 > t * b_n
-            k_l = int(mult[has_jump].sum()) if max_exceeds else 0
-            k_r = int(mult[np.abs(sums) > t * b_n].sum())
-            lhs = TailEstimate.from_counts(k_l, reps, exact=True)
-            rhs = TailEstimate.from_counts(k_r, reps, exact=True)
-            out.append(_finish_report("levy", t, lhs, rhs, 2.0, None, 0, config))
-        return out
+        # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
+        # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
+        # the j-th coefficient of (1 + 2z + z^2)^n
+        sum_weights = np.ones(1, dtype=np.int64)
+        for _ in range(n):
+            sum_weights = np.convolve(sum_weights, np.array([1, 2, 1], dtype=np.int64))
+        # the maximal difference is 0 only when every difference is
+        max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
+        thr = tg * b_n
+        counts = {
+            "lhs": _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights),
+            "rhs": _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights),
+        }
+        return _reports("levy", tg, counts, 4**n, 2.0, config, confidence, exact=True)
     if mode != "mc":
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if key is None:
@@ -446,12 +452,7 @@ def check_levy(
         return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
 
     totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    out = []
-    for j, t in enumerate(tg):
-        lhs = TailEstimate.from_counts(int(totals["lhs"][j]), R, confidence)
-        rhs = TailEstimate.from_counts(int(totals["rhs"][j]), R, confidence)
-        out.append(_finish_report("levy", t, lhs, rhs, 2.0, None, 0, config))
-    return out
+    return _reports("levy", tg, totals, R, 2.0, config, confidence)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ from sumtails.estimator import (
     mc_tail,
     paired_tail,
 )
+from sumtails.estimator import _worker_count
 from sumtails.sources import StreamKey
-from sumtails.space import SpaceSpec, norm
+from sumtails.space import SpaceSpec, norm, norms
 
 KEY = StreamKey(90210)
 
@@ -145,6 +146,34 @@ def test_enumeration_against_product_oracle():
         assert got == pytest.approx(np.sort(want), rel=1e-12, abs=1e-12)
 
 
+def _per_bit_sign_norms(x, weights, space):
+    # reference: one pass per summand over all 2^n patterns, adding
+    # eps_i * (w_i x_i) to the accumulator term by term
+    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    n = xa.shape[0]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
+    patterns = np.arange(1 << n, dtype=np.int64)
+    sums = np.zeros((1 << n, space.dim))
+    for i in range(n):
+        eps = np.where((patterns >> i) & 1 == 1, 1.0, -1.0)
+        sums += eps[:, None] * (w[i] * xa[i])
+    return norms(sums, space)
+
+
+def test_enumeration_matches_per_bit_loop_exactly():
+    # same pattern order and the same bits, not merely close values
+    rng = np.random.default_rng(77)
+    for n in range(1, 11):
+        for dim in range(1, 5):
+            for q in (1.0, 2.0, 3.0, math.inf):
+                sp = SpaceSpec(dim, q)
+                x = rng.standard_normal((n, dim))
+                x[rng.random((n, dim)) < 0.2] = -0.0
+                for w in (None, rng.uniform(-1.5, 1.5, n)):
+                    got = enumerate_sign_norms(x, w, sp)
+                    assert np.array_equal(got, _per_bit_sign_norms(x, w, sp)), (n, dim, q)
+
+
 def test_enumeration_scale_equivariance():
     rng = np.random.default_rng(5)
     sp = SpaceSpec(3, 2)
@@ -198,6 +227,16 @@ def test_mc_counts_partition_is_by_replication_index():
     for i in range(2):
         expect += int(KEY.replication(i).generator().random() * 2**30)
     assert int(totals["first_bits"][0]) == expect
+
+
+def test_worker_count_is_bounded_by_blocks_and_cpus():
+    assert _worker_count(1, 10, 8) == 1
+    assert _worker_count(4, 10, 8) == 4
+    assert _worker_count(16, 10, 8) == 8
+    assert _worker_count(16, 3, 8) == 3
+    assert _worker_count(10**6, 5, 2) == 2
+    assert _worker_count(4, 10, 1) == 1
+    assert _worker_count(0, 10, 8) == 1
 
 
 def test_mc_errors():

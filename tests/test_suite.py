@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sumtails.errors import ConfigurationError
 from sumtails.estimator import TailEstimate
@@ -30,7 +31,7 @@ from sumtails.suite import (
     cross_check_symmetrization,
     run_wlln,
 )
-from sumtails.suite import _classify
+from sumtails.suite import _classify, _counts_per_threshold
 
 KEY = StreamKey(31415)
 
@@ -195,27 +196,33 @@ def test_levy_exact_single_summand():
         assert r.verdict == "holds"
 
 
-def _levy_oracle(n, t):
-    # enumerate all 4^n sign pairs directly
-    hits_max = 0
-    hits_sum = 0
+def _levy_oracle(n, thresholds):
+    # enumerate all 4^n sign pairs directly; successes per threshold
+    hits_max = [0] * len(thresholds)
+    hits_sum = [0] * len(thresholds)
     for eps in itertools.product((-1, 1), repeat=n):
         for eps_p in itertools.product((-1, 1), repeat=n):
             diff = [a - b for a, b in zip(eps, eps_p)]
-            hits_max += max(abs(v) for v in diff) > t
-            hits_sum += abs(sum(diff)) > t
-    return hits_max / 4**n, hits_sum / 4**n
+            biggest = max(abs(v) for v in diff)
+            total = abs(sum(diff))
+            for j, thr in enumerate(thresholds):
+                hits_max[j] += biggest > thr
+                hits_sum[j] += total > thr
+    return hits_max, hits_sum
 
 
 def test_levy_exact_against_product_oracle():
-    for n in (2, 3):
-        tg = [0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 2.0 * n]
-        reports = check_levy(rademacher(), n=n, t_grid=tg, mode="exact")
-        for r, t in zip(reports, tg):
-            want_l, want_r = _levy_oracle(n, t)
-            assert r.lhs.p_hat == want_l, (n, t)
-            assert r.rhs.p_hat == want_r, (n, t)
-            assert r.verdict == "holds"
+    # t * b_n lands exactly on 0, 2 and 4, where strict > decides
+    for n in range(1, 7):
+        for b_n in (1.0, 0.5, 2.0):
+            tg = [0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 8.0, 2.0 * n, 3.3]
+            reports = check_levy(rademacher(), n=n, t_grid=tg, b_n=b_n, mode="exact")
+            want_l, want_r = _levy_oracle(n, [t * b_n for t in tg])
+            assert [r.lhs.successes for r in reports] == want_l, (n, b_n)
+            assert [r.rhs.successes for r in reports] == want_r, (n, b_n)
+            for r in reports:
+                assert r.lhs.replications == r.rhs.replications == 4**n
+                assert r.verdict == "holds"
 
 
 def test_levy_exact_mode_limits():
@@ -255,6 +262,30 @@ def test_levy_validation():
         check_levy(rademacher(), n=2)
     with pytest.raises(ConfigurationError, match="R >= 100"):
         check_levy(rademacher(), n=2, R=50, key=KEY)
+
+
+# ------------------------------------------------------- threshold counting
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, 2.0]
+_VALUES = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_SPECIAL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_counts_per_threshold_matches_boolean_matrix(data):
+    stat = np.array(data.draw(st.lists(_VALUES, max_size=40)), dtype=float)
+    # thresholds are unsorted, may repeat, and may tie with entries of stat
+    ties = st.sampled_from(stat.tolist()) if stat.size else _VALUES
+    thr = np.array(data.draw(st.lists(st.one_of(_VALUES, ties), min_size=1, max_size=12)), dtype=float)
+    weights = np.array(
+        data.draw(st.lists(st.integers(0, 10**6), min_size=stat.size, max_size=stat.size)),
+        dtype=np.int64,
+    )
+    hits = stat[:, None] > thr[None, :]
+    assert np.array_equal(_counts_per_threshold(stat, thr), hits.sum(axis=0))
+    assert np.array_equal(
+        _counts_per_threshold(stat, thr, weights), (hits * weights[:, None]).sum(axis=0)
+    )
 
 
 # ------------------------------------------------------- randomized soundness
