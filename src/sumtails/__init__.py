@@ -15,12 +15,11 @@ sequence n * P(||X|| > b_n).
 __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DomainError
-from .estimator import TailEstimate, clopper_pearson, exact_rademacher_tail, mc_tail, paired_tail
+from .estimator import TailEstimate, clopper_pearson
 from .norming import FunctionPair, NormingPair, build_function_pair, check_ratio_monotone, power_pair
 from .sources import (
     DistributionSpec,
     StreamKey,
-    independent_copy,
     pareto_one_sided,
     pareto_symmetric,
     point_mass,
@@ -31,7 +30,7 @@ from .sources import (
     stable_symmetric,
     uniform_ball,
 )
-from .space import SpaceSpec, add, norm, norms, scale, vsum
+from .space import SpaceSpec, norm, norms, vsum
 from .suite import (
     InequalityReport,
     SymmetrizationCrossCheck,
@@ -59,8 +58,6 @@ __all__ = [
     "SpaceSpec",
     "norm",
     "norms",
-    "add",
-    "scale",
     "vsum",
     "NormingPair",
     "FunctionPair",
@@ -78,7 +75,6 @@ __all__ = [
     "shifted",
     "sample",
     "sample_stable",
-    "independent_copy",
     "TransformContext",
     "rescale",
     "truncate",
@@ -87,9 +83,6 @@ __all__ = [
     "gamma_n",
     "TailEstimate",
     "clopper_pearson",
-    "exact_rademacher_tail",
-    "mc_tail",
-    "paired_tail",
     "InequalityReport",
     "WllnDiagnostic",
     "SymmetrizationCrossCheck",

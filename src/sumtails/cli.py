@@ -494,29 +494,22 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         rows, summary, violated = _run_construct(cfg, "")
         columns = CONSTRUCT_COLUMNS
         summaries = [summary]
-    elif experiment == "wlln":
+    else:
+        # a single config runs as a sweep of one: config index 0, key
+        # seed + 0, and key paths without a configs[i] prefix
         seed_v = _as_int(cfg["seed"], "seed")
-        rows, summary, violated = _run_wlln_config(cfg, 0, seed_v, threads_v, conf_v, "")
-        columns = WLLN_COLUMNS
-        summaries = [summary]
-    elif experiment == "sweep":
-        seed_v = _as_int(cfg["seed"], "seed")
-        rows = []
-        summaries = []
-        violated = False
-        for i, sub in enumerate(cfg["configs"]):
-            sub_rows, sub_summary, sub_violated = _run_inequality(
-                sub, i, seed_v, threads_v, conf_v, f"configs[{i}]"
+        runner, columns = _run_inequality, INEQ_COLUMNS
+        if experiment == "wlln":
+            runner, columns = _run_wlln_config, WLLN_COLUMNS
+        sweep = experiment == "sweep"
+        rows, summaries, violated = [], [], False
+        for i, sub in enumerate(cfg["configs"] if sweep else [cfg]):
+            sub_rows, sub_summary, sub_violated = runner(
+                sub, i, seed_v, threads_v, conf_v, f"configs[{i}]" if sweep else ""
             )
             rows.extend(sub_rows)
             summaries.append(sub_summary)
             violated = violated or sub_violated
-        columns = INEQ_COLUMNS
-    else:
-        seed_v = _as_int(cfg["seed"], "seed")
-        rows, summary, violated = _run_inequality(cfg, 0, seed_v, threads_v, conf_v, "")
-        columns = INEQ_COLUMNS
-        summaries = [summary]
 
     exit_code = 1 if violated else 0
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -25,10 +25,7 @@ __all__ = [
     "TailEstimate",
     "clopper_pearson",
     "enumerate_sign_norms",
-    "exact_rademacher_tail",
     "mc_counts",
-    "mc_tail",
-    "paired_tail",
     "ENUMERATION_MAX_N",
     "DEFAULT_BLOCK_SIZE",
 ]
@@ -124,13 +121,6 @@ def enumerate_sign_norms(x, weights, space: SpaceSpec) -> np.ndarray:
     return norms(sums, space)
 
 
-def exact_rademacher_tail(x, weights, t: float, space: SpaceSpec) -> TailEstimate:
-    """Exact P(||sum_i eps_i w_i x_i|| > t) by full enumeration (strict >)."""
-    nv = enumerate_sign_norms(x, weights, space)
-    k = int(np.count_nonzero(nv > t))
-    return TailEstimate.from_counts(k, nv.size, exact=True)
-
-
 def _partition(R: int, block_size: int) -> list[tuple[int, int]]:
     """Fixed (block_index, block_length) partition of R replications."""
     blocks = []
@@ -200,67 +190,3 @@ def mc_counts(
                 totals[name] = a.copy()
     return totals
 
-
-def mc_tail(
-    event,
-    R: int,
-    key: StreamKey,
-    *,
-    confidence: float = 0.99,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
-) -> TailEstimate:
-    """Monte Carlo estimate of P(event) with Clopper-Pearson bounds.
-
-    event(rng, m) returns a boolean array of length m; R >= 100.
-    """
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
-
-    def block(rng, m):
-        hits = np.asarray(event(rng, m))
-        return {"successes": np.array([int(np.count_nonzero(hits))])}
-
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    return TailEstimate.from_counts(int(totals["successes"][0]), R, confidence)
-
-
-def paired_tail(
-    lhs_event,
-    rhs_event,
-    R: int,
-    key: StreamKey,
-    *,
-    confidence: float = 0.99,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
-) -> tuple[TailEstimate, TailEstimate, np.ndarray]:
-    """Evaluate two predicates of the same sample path per replication.
-
-    Both events receive generators seeded identically within each
-    block, so they see the same draws as long as each consumes the
-    stream the same way.  Returns the marginal estimates and the 2x2
-    joint count table [[both, lhs only], [rhs only, neither]].
-    """
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
-
-    def block(rng, m):
-        # rng positions the block; each event replays the same stream
-        state = rng.bit_generator.state
-        l_rng = np.random.Generator(np.random.Philox())
-        l_rng.bit_generator.state = state
-        r_rng = np.random.Generator(np.random.Philox())
-        r_rng.bit_generator.state = state
-        lhs = np.asarray(lhs_event(l_rng, m))
-        rhs = np.asarray(rhs_event(r_rng, m))
-        both = int(np.count_nonzero(lhs & rhs))
-        nl = int(np.count_nonzero(lhs))
-        nr = int(np.count_nonzero(rhs))
-        return {"table": np.array([both, nl - both, nr - both, m - nl - nr + both])}
-
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    t11, t10, t01, t00 = (int(v) for v in totals["table"])
-    lhs_est = TailEstimate.from_counts(t11 + t10, R, confidence)
-    rhs_est = TailEstimate.from_counts(t11 + t01, R, confidence)
-    return lhs_est, rhs_est, np.array([[t11, t10], [t01, t00]], dtype=np.int64)

@@ -10,7 +10,6 @@ they stay strictly increasing on [0, inf) and are invertible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

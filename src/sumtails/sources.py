@@ -29,23 +29,19 @@ __all__ = [
     "shifted",
     "sample",
     "sample_stable",
-    "independent_copy",
     "uniform_in_ball",
     "draw",
     "is_symmetric",
     "tail_prob",
     "truncated_mean",
-    "STREAM_PRIMARY",
-    "STREAM_COPY",
     "STREAM_GAMMA",
     "STREAM_CRITERION",
     "STREAM_VECTORS",
     "STREAM_CRITERION_SYMM",
 ]
 
-# draw_counter conventions; distinct values give disjoint substreams
-STREAM_PRIMARY = 0
-STREAM_COPY = 1
+# draw_counter conventions; distinct values give disjoint substreams, and
+# the default 0 carries the experiment's sample paths
 STREAM_GAMMA = 2
 STREAM_CRITERION = 3
 STREAM_VECTORS = 4
@@ -287,24 +283,6 @@ def sample_stable(alpha: float, k: StreamKey, count: int) -> np.ndarray:
     if not (0 < alpha <= 2):
         raise ConfigurationError(f"stable index must lie in (0, 2], got {alpha}")
     return _stable_draws(alpha, k.generator(), count)
-
-
-class PairedSampler:
-    """Yields (X_i, X_i') pairs from two disjoint substreams of one key."""
-
-    def __init__(self, d: DistributionSpec, k: StreamKey):
-        self.spec = d
-        self._rng = k.substream(STREAM_PRIMARY).generator()
-        self._rng_copy = k.substream(STREAM_COPY).generator()
-
-    def sample(self, count: int) -> tuple[np.ndarray, np.ndarray]:
-        x = draw(self.spec, self._rng, count)
-        x_prime = draw(self.spec, self._rng_copy, count)
-        return x, x_prime
-
-
-def independent_copy(d: DistributionSpec, k: StreamKey) -> PairedSampler:
-    return PairedSampler(d, k)
 
 
 def uniform_in_ball(space: SpaceSpec, radius: float, k: StreamKey, count: int) -> np.ndarray:

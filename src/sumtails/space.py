@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-__all__ = ["SpaceSpec", "norm", "norms", "add", "scale", "vsum", "zero"]
+__all__ = ["SpaceSpec", "norm", "norms", "vsum"]
 
 
 @dataclass(frozen=True)
@@ -86,23 +86,6 @@ def norms(arr, space: SpaceSpec, axis: int = -1) -> np.ndarray:
     if q == 2.0:
         return np.sqrt(np.sum(a * a, axis=axis))
     return np.sum(np.abs(a) ** q, axis=axis) ** (1.0 / q)
-
-
-def add(u, v) -> np.ndarray:
-    """Componentwise sum of two vectors of equal dimension."""
-    ua = np.asarray(u, dtype=float)
-    va = np.asarray(v, dtype=float)
-    if ua.shape != va.shape:
-        raise DomainError(f"cannot add vectors of shapes {ua.shape} and {va.shape}")
-    return ua + va
-
-def scale(c: float, v) -> np.ndarray:
-    """Scalar multiple c * v."""
-    return float(c) * np.asarray(v, dtype=float)
-
-
-def zero(space: SpaceSpec) -> np.ndarray:
-    return np.zeros(space.dim)
 
 
 def vsum(vectors, space: SpaceSpec) -> np.ndarray:

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigurationError
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
-    ENUMERATION_MAX_N,
     TailEstimate,
     enumerate_sign_norms,
     mc_counts,
@@ -65,7 +64,8 @@ DEFAULT_T_POINTS = 50
 # fallback t range for distribution-valued checks, where no finite
 # sum of ||x_i|| exists to scale against
 DEFAULT_T_STOP = 3.0
-LEVY_EXACT_MAX_N = 12
+# the largest n whose 4^n sign pairs an int64 count holds
+LEVY_EXACT_MAX_N = 31
 
 _CHUNK_ELEMENTS = 1 << 22
 
@@ -420,7 +420,8 @@ def check_levy(
             raise ConfigurationError("exact mode covers the scalar random-sign law only")
         if n > LEVY_EXACT_MAX_N:
             raise ConfigurationError(
-                f"n = {n} exceeds the 3^{LEVY_EXACT_MAX_N} exact budget; use Monte Carlo"
+                f"n = {n} exceeds the exact budget n <= {LEVY_EXACT_MAX_N}, where the"
+                " 4^n sign pairs still fit an int64 count; use Monte Carlo"
             )
         # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
         # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
@@ -565,23 +566,104 @@ def _criterion_points(
     return tuple(points)
 
 
-def _resolve_gammas(
+def _wlln(
+    symmetrized: bool,
     d: DistributionSpec,
     pair: NormingPair,
-    n_grid: list[int],
-    key: StreamKey,
+    n_grid,
+    lambda_grid,
+    R: int,
+    key: StreamKey | None,
+    confidence: float,
+    block_size: int,
+    threads: int,
     gamma_mode: str,
     gamma_R: int,
-) -> list[np.ndarray]:
+    criterion_R: int,
+) -> list[WllnDiagnostic]:
+    """The centered diagnostic, then the symmetrized one when asked.
+
+    Each chunk of summands draws X and then, when symmetrized, X' from
+    the replication's stream, and the chunk width divides the element
+    budget among the running sums.  These two rules fix which draw
+    lands in which replication; changing either changes the results.
+    """
+    if key is None:
+        caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
+        raise ConfigurationError(f"{caller} needs a StreamKey")
+    if R < 100:
+        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+    if not check_ratio_monotone(pair):
+        raise ConfigurationError("b_n / a_n must be nondecreasing")
+    n_max = len(pair)
+    grid = _default_n_grid(n_max) if n_grid is None else _validate_n_grid(n_grid, n_max)
+    lam = _as_grid(lambda_grid, "lambda_grid")
+    if np.any(np.diff(lam) <= 0):
+        raise ConfigurationError("lambda_grid must be strictly increasing")
+    space = d.space
+    dim = space.dim
+    b_at = [float(pair.b[n - 1]) for n in grid]
     gammas = []
-    for n in n_grid:
-        b_n = float(pair.b[n - 1])
+    for n, b_n in zip(grid, b_at):
+        mode = gamma_mode
         if gamma_mode == "auto":
             mode = "analytic" if truncated_mean(d, b_n) is not None else "monte_carlo"
-        else:
-            mode = gamma_mode
         gammas.append(gamma_n(d, b_n, n, mode=mode, R=gamma_R, key=key.replication(n)))
-    return gammas
+    criteria = [_criterion_points(d, pair, grid, key, criterion_R, confidence)]
+    if symmetrized:
+        criteria.append(
+            _criterion_points(d, pair, grid, key, criterion_R, confidence, symmetrized=True)
+        )
+    k = 2 if symmetrized else 1
+
+    def block(rng, m):
+        # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
+        sums = np.zeros((k, m, dim))
+        counts = np.zeros((k, len(grid), lam.size), dtype=np.int64)
+        chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
+        prev = 0
+        for gi, n in enumerate(grid):
+            need = n - prev
+            while need > 0:
+                c = min(chunk, need)
+                for running in sums:
+                    running += draw(d, rng, (m, c)).sum(axis=1)
+                need -= c
+            diffs = [sums[0] - gammas[gi]]
+            if symmetrized:
+                diffs.append(sums[0] - sums[1])
+            for v, diff in enumerate(diffs):
+                counts[v, gi] = _counts_per_threshold(norms(diff, space) / b_at[gi], lam)
+            prev = n
+        return {"counts": counts}
+
+    counts = mc_counts(block, R, key, block_size=block_size, threads=threads)["counts"]
+    config = {
+        "kind": d.kind,
+        "lifting": d.lifting,
+        "dim": dim,
+        "q": space.q,
+        "R": R,
+        "gamma_mode": gamma_mode,
+    }
+    out = []
+    for v, criterion in enumerate(criteria):
+        cfg = dict(config, variant=("centered", "symmetrized")[v]) if symmetrized else config
+        estimates = tuple(
+            tuple(TailEstimate.from_counts(int(c), R, confidence) for c in row) for row in counts[v]
+        )
+        out.append(
+            WllnDiagnostic(
+                config=cfg,
+                n_grid=tuple(grid),
+                lambda_grid=tuple(float(x) for x in lam),
+                estimates=estimates,
+                criterion=criterion,
+                gammas=tuple(gammas) if v == 0 else tuple(np.zeros(dim) for _ in grid),
+                classification=_classify(estimates, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
+            )
+        )
+    return out
 
 
 def run_wlln(
@@ -606,63 +688,10 @@ def run_wlln(
     from closed forms when the law has them, else from substreams
     disjoint from the experiment paths.
     """
-    if key is None:
-        raise ConfigurationError("run_wlln needs a StreamKey")
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
-    if not check_ratio_monotone(pair):
-        raise ConfigurationError("b_n / a_n must be nondecreasing")
-    n_max = len(pair)
-    grid = _default_n_grid(n_max) if n_grid is None else _validate_n_grid(n_grid, n_max)
-    lam = _as_grid(lambda_grid, "lambda_grid")
-    if np.any(np.diff(lam) <= 0):
-        raise ConfigurationError("lambda_grid must be strictly increasing")
-    space = d.space
-    dim = space.dim
-    gammas = _resolve_gammas(d, pair, grid, key, gamma_mode, gamma_R)
-    criterion = _criterion_points(d, pair, grid, key, criterion_R, confidence)
-    b_at = [float(pair.b[n - 1]) for n in grid]
-    g_count, l_count = len(grid), lam.size
-
-    def block(rng, m):
-        sums = np.zeros((m, dim))
-        counts = np.zeros((g_count, l_count), dtype=np.int64)
-        chunk = max(1, _CHUNK_ELEMENTS // (m * dim))
-        prev = 0
-        for gi, n in enumerate(grid):
-            need = n - prev
-            while need > 0:
-                c = min(chunk, need)
-                sums += draw(d, rng, (m, c)).sum(axis=1)
-                need -= c
-            stat = norms(sums - gammas[gi], space) / b_at[gi]
-            counts[gi] = _counts_per_threshold(stat, lam)
-            prev = n
-        return {"counts": counts}
-
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    counts = totals["counts"]
-    estimates = tuple(
-        tuple(TailEstimate.from_counts(int(counts[i, j]), R, confidence) for j in range(l_count))
-        for i in range(g_count)
-    )
-    config = {
-        "kind": d.kind,
-        "lifting": d.lifting,
-        "dim": dim,
-        "q": space.q,
-        "R": R,
-        "gamma_mode": gamma_mode,
-    }
-    return WllnDiagnostic(
-        config=config,
-        n_grid=tuple(grid),
-        lambda_grid=tuple(float(v) for v in lam),
-        estimates=estimates,
-        criterion=criterion,
-        gammas=tuple(gammas),
-        classification=_classify(estimates, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
-    )
+    return _wlln(
+        False, d, pair, n_grid, lambda_grid, R, key, confidence,
+        block_size, threads, gamma_mode, gamma_R, criterion_R,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -694,82 +723,9 @@ def cross_check_symmetrization(
     draws interleave from the same stream, so the two diagnostics see
     coupled paths; their branch classifications are compared.
     """
-    if key is None:
-        raise ConfigurationError("cross_check_symmetrization needs a StreamKey")
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
-    if not check_ratio_monotone(pair):
-        raise ConfigurationError("b_n / a_n must be nondecreasing")
-    n_max = len(pair)
-    grid = _default_n_grid(n_max) if n_grid is None else _validate_n_grid(n_grid, n_max)
-    lam = _as_grid(lambda_grid, "lambda_grid")
-    space = d.space
-    dim = space.dim
-    gammas = _resolve_gammas(d, pair, grid, key, gamma_mode, gamma_R)
-    criterion_plain = _criterion_points(d, pair, grid, key, criterion_R, confidence)
-    criterion_symm = _criterion_points(d, pair, grid, key, criterion_R, confidence, symmetrized=True)
-    b_at = [float(pair.b[n - 1]) for n in grid]
-    g_count, l_count = len(grid), lam.size
-
-    def block(rng, m):
-        sums = np.zeros((m, dim))
-        sums_prime = np.zeros((m, dim))
-        counts = np.zeros((2, g_count, l_count), dtype=np.int64)
-        chunk = max(1, _CHUNK_ELEMENTS // (2 * m * dim))
-        prev = 0
-        for gi, n in enumerate(grid):
-            need = n - prev
-            while need > 0:
-                c = min(chunk, need)
-                sums += draw(d, rng, (m, c)).sum(axis=1)
-                sums_prime += draw(d, rng, (m, c)).sum(axis=1)
-                need -= c
-            stat_plain = norms(sums - gammas[gi], space) / b_at[gi]
-            stat_symm = norms(sums - sums_prime, space) / b_at[gi]
-            counts[0, gi] = _counts_per_threshold(stat_plain, lam)
-            counts[1, gi] = _counts_per_threshold(stat_symm, lam)
-            prev = n
-        return {"counts": counts}
-
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    counts = totals["counts"]
-
-    def pack(idx):
-        return tuple(
-            tuple(
-                TailEstimate.from_counts(int(counts[idx, i, j]), R, confidence)
-                for j in range(l_count)
-            )
-            for i in range(g_count)
-        )
-
-    base_config = {
-        "kind": d.kind,
-        "lifting": d.lifting,
-        "dim": dim,
-        "q": space.q,
-        "R": R,
-        "gamma_mode": gamma_mode,
-    }
-    est_plain = pack(0)
-    est_symm = pack(1)
-    plain = WllnDiagnostic(
-        config=dict(base_config, variant="centered"),
-        n_grid=tuple(grid),
-        lambda_grid=tuple(float(v) for v in lam),
-        estimates=est_plain,
-        criterion=criterion_plain,
-        gammas=tuple(gammas),
-        classification=_classify(est_plain, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
-    )
-    symm = WllnDiagnostic(
-        config=dict(base_config, variant="symmetrized"),
-        n_grid=tuple(grid),
-        lambda_grid=tuple(float(v) for v in lam),
-        estimates=est_symm,
-        criterion=criterion_symm,
-        gammas=tuple(np.zeros(dim) for _ in grid),
-        classification=_classify(est_symm, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
+    plain, symm = _wlln(
+        True, d, pair, n_grid, lambda_grid, R, key, confidence,
+        block_size, threads, gamma_mode, gamma_R, criterion_R,
     )
     return SymmetrizationCrossCheck(
         plain=plain,

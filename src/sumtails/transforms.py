@@ -28,7 +28,6 @@ __all__ = [
     "TransformContext",
     "rescale",
     "rescale_factors",
-    "rescale_batch",
     "truncate",
     "event_identity_holds",
     "event_identity_all",
@@ -99,12 +98,6 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     out_norm = fp.phi(fp.psi_inverse(s))
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(s > 0.0, out_norm / np.where(s > 0.0, s, 1.0), 0.0)
-
-
-def rescale_batch(arr: np.ndarray, fp: FunctionPair, space: SpaceSpec) -> np.ndarray:
-    """rescale applied along the last axis of arr, extension allowed."""
-    nv = norms(arr, space)
-    return arr * rescale_factors(nv, fp)[..., None]
 
 
 def _default_space(v: np.ndarray, space: SpaceSpec | None) -> SpaceSpec:

@@ -11,16 +11,23 @@ from sumtails.estimator import (
     TailEstimate,
     clopper_pearson,
     enumerate_sign_norms,
-    exact_rademacher_tail,
     mc_counts,
-    mc_tail,
-    paired_tail,
 )
 from sumtails.estimator import _worker_count
 from sumtails.sources import StreamKey
 from sumtails.space import SpaceSpec, norm, norms
+from sumtails.suite import _counts_per_threshold
 
 KEY = StreamKey(90210)
+
+
+def _mc_estimate(event, R, threads=1):
+    # Monte Carlo P(event) through mc_counts with a block_fn of its own
+    def block_fn(rng, m):
+        return {"hits": np.array([np.count_nonzero(event(rng, m))])}
+
+    hits = int(mc_counts(block_fn, R, KEY, threads=threads)["hits"][0])
+    return TailEstimate.from_counts(hits, R)
 
 
 def _binom_ge(n: int, k: int, p: float) -> float:
@@ -111,20 +118,16 @@ def test_enumeration_tiny_cases():
 
 
 def test_exact_tail_values():
-    sp = SpaceSpec(1, 2)
-    x = [[1.0], [1.0]]
-    assert exact_rademacher_tail(x, None, 1.5, sp).p_hat == 0.5
-    assert exact_rademacher_tail(x, None, -0.5, sp).p_hat == 1.0
-    assert exact_rademacher_tail(x, None, 2.0, sp).p_hat == 0.0  # strict >
-    est = exact_rademacher_tail(x, None, 0.0, sp)
-    assert est.exact and est.replications == 4 and est.successes == 2
+    # |eps_1 + eps_2| is 0, 0, 2, 2; a norm equal to t does not exceed it
+    nv = enumerate_sign_norms([[1.0], [1.0]], None, SpaceSpec(1, 2))
+    assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0]).tolist() == [2, 4, 0, 2]
 
 
 def test_exact_tail_zero_beyond_total_mass():
     sp = SpaceSpec(2, 1)
     x = [[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]]
     total = sum(norm(np.array(v), sp) for v in x)
-    assert exact_rademacher_tail(x, None, total, sp).p_hat == 0.0
+    assert _counts_per_threshold(enumerate_sign_norms(x, None, sp), [total]).tolist() == [0]
 
 
 def test_enumeration_against_product_oracle():
@@ -180,9 +183,9 @@ def test_enumeration_scale_equivariance():
     x = rng.standard_normal((6, 3))
     for c in (0.25, 7.0):
         t = 1.37  # no pattern lands exactly on the boundary
-        a = exact_rademacher_tail(x, None, t, sp).p_hat
-        b = exact_rademacher_tail(c * x, None, c * t, sp).p_hat
-        assert a == b
+        a = _counts_per_threshold(enumerate_sign_norms(x, None, sp), [t])
+        b = _counts_per_threshold(enumerate_sign_norms(c * x, None, sp), [c * t])
+        assert a.tolist() == b.tolist()
 
 
 def test_enumeration_errors():
@@ -196,23 +199,23 @@ def test_enumeration_errors():
 
 
 def test_mc_tail_trivial_events():
-    one = mc_tail(lambda rng, m: np.ones(m, dtype=bool), 500, KEY)
+    one = _mc_estimate(lambda rng, m: np.ones(m, dtype=bool), 500)
     assert one.p_hat == 1.0 and one.ci_high == 1.0 and one.ci_low < 1.0
-    zero = mc_tail(lambda rng, m: np.zeros(m, dtype=bool), 500, KEY)
+    zero = _mc_estimate(lambda rng, m: np.zeros(m, dtype=bool), 500)
     assert zero.p_hat == 0.0 and zero.ci_low == 0.0 and zero.ci_high > 0.0
 
 
 def test_mc_tail_known_probability():
-    est = mc_tail(lambda rng, m: rng.random(m) < 0.3, 100_000, KEY)
+    est = _mc_estimate(lambda rng, m: rng.random(m) < 0.3, 100_000)
     assert est.ci_low <= 0.3 <= est.ci_high
     assert abs(est.p_hat - 0.3) < 5 * math.sqrt(0.3 * 0.7 / 100_000)
 
 
 def test_mc_tail_thread_invariance():
     event = lambda rng, m: rng.random(m) < 0.41
-    a = mc_tail(event, 30_000, KEY, threads=1)
-    b = mc_tail(event, 30_000, KEY, threads=4)
-    c = mc_tail(event, 30_000, KEY, threads=7)
+    a = _mc_estimate(event, 30_000, threads=1)
+    b = _mc_estimate(event, 30_000, threads=4)
+    c = _mc_estimate(event, 30_000, threads=7)
     assert a.successes == b.successes == c.successes
 
 
@@ -241,8 +244,6 @@ def test_worker_count_is_bounded_by_blocks_and_cpus():
 
 def test_mc_errors():
     with pytest.raises(ConfigurationError):
-        mc_tail(lambda rng, m: np.ones(m, dtype=bool), 99, KEY)
-    with pytest.raises(ConfigurationError):
         mc_counts(lambda rng, m: {}, 0, KEY)
     with pytest.raises(ConfigurationError):
         mc_counts(lambda rng, m: {}, 10, KEY, block_size=0)
@@ -258,47 +259,3 @@ def test_clopper_pearson_coverage():
         low, high = clopper_pearson(int(k), 500, 0.99)
         covered += low <= 0.3 <= high
     assert covered >= 985
-
-
-def test_paired_tail_identical_events():
-    event = lambda rng, m: rng.random(m) < 0.37
-    lhs, rhs, table = paired_tail(event, event, 20_000, KEY)
-    assert lhs.successes == rhs.successes
-    assert table[0, 1] == 0 and table[1, 0] == 0
-    assert table.sum() == 20_000
-
-
-def test_paired_tail_nested_events():
-    # both events read the same uniforms, so {u > .8} is inside {u > .5}
-    outer = lambda rng, m: rng.random(m) > 0.5
-    inner = lambda rng, m: rng.random(m) > 0.8
-    lhs, rhs, table = paired_tail(inner, outer, 20_000, KEY)
-    assert table[0, 1] == 0  # inner never fires without outer
-    assert lhs.successes <= rhs.successes
-    assert abs(lhs.p_hat - 0.2) < 0.02 and abs(rhs.p_hat - 0.5) < 0.02
-
-
-def test_paired_tail_thread_invariance():
-    outer = lambda rng, m: rng.random(m) > 0.5
-    inner = lambda rng, m: rng.random(m) > 0.8
-    _, _, t1 = paired_tail(inner, outer, 20_000, KEY, threads=1)
-    _, _, t4 = paired_tail(inner, outer, 20_000, KEY, threads=4)
-    assert np.array_equal(t1, t4)
-
-
-def test_mc_within_ci_of_exact():
-    # Monte Carlo signs against enumeration on small configs
-    rng = np.random.default_rng(17)
-    sp = SpaceSpec(2, 2)
-    for rep in range(5):
-        x = rng.standard_normal((7, 2))
-        t = float(rng.uniform(0.5, 3.0))
-        exact = exact_rademacher_tail(x, None, t, sp).p_hat
-
-        def event(g, m, x=x, t=t):
-            eps = g.integers(0, 2, (m, 7)) * 2.0 - 1.0
-            s = eps @ x
-            return np.hypot(s[:, 0], s[:, 1]) > t
-
-        est = mc_tail(event, 40_000, KEY.replication(100 + rep), confidence=0.999)
-        assert est.ci_low <= exact <= est.ci_high, (rep, exact, est)

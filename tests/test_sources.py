@@ -7,12 +7,9 @@ from scipy.integrate import quad
 
 from sumtails.errors import ConfigurationError
 from sumtails.sources import (
-    STREAM_COPY,
-    STREAM_PRIMARY,
     DistributionSpec,
     StreamKey,
     draw,
-    independent_copy,
     is_symmetric,
     pareto_one_sided,
     pareto_symmetric,
@@ -181,20 +178,6 @@ def test_iid_coordinates_scaling():
         space = SpaceSpec(dim, q)
         x = sample(rademacher(space, lifting="iid_coordinates"), KEY, 50)
         assert norms(x, space) == pytest.approx(np.ones(50), rel=1e-12)
-
-
-def test_independent_copy_streams():
-    d = pareto_symmetric(1.5, SpaceSpec(2, 2), lifting="radial")
-    ps = independent_copy(d, KEY)
-    x, xp = ps.sample(1000)
-    assert x.shape == xp.shape == (1000, 2)
-    assert not np.array_equal(x, xp)
-    # replays bit for bit under the same key
-    x2, xp2 = independent_copy(d, KEY).sample(1000)
-    assert np.array_equal(x, x2) and np.array_equal(xp, xp2)
-    # the copy stream is the primary stream of the COPY substream
-    direct = draw(d, KEY.substream(STREAM_COPY).generator(), 1000)
-    assert np.array_equal(xp, direct)
 
 
 def test_uniform_in_ball():

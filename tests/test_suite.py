@@ -234,6 +234,29 @@ def test_levy_exact_mode_limits():
         check_levy(rademacher(), n=LEVY_EXACT_MAX_N + 1, mode="exact")
 
 
+def test_levy_exact_at_the_int64_cap():
+    # n = 31: 4^n = 2^62 sign pairs, still an int64 count; closed forms
+    # at t * b_n = 0, 1, 2, 61 and 62
+    n = LEVY_EXACT_MAX_N
+    assert n == 31
+    total = 4**n
+    reports = check_levy(rademacher(), n=n, t_grid=[0.0, 1.0, 2.0, 61.0, 62.0], mode="exact")
+    # the maximal difference is 2 unless every difference is 0
+    assert [r.lhs.successes for r in reports] == [total - 2**n] * 2 + [0] * 3
+    no_sum = math.comb(2 * n, n)
+    assert [r.rhs.successes for r in reports] == [
+        total - no_sum,
+        total - no_sum,
+        total - no_sum - 2 * math.comb(2 * n, n - 1),
+        2,  # S_n - S_n' = +-62 only when every difference agrees
+        0,
+    ]
+    assert reports[2].rhs.successes == 3244490230740058458
+    for r in reports:
+        assert r.lhs.replications == r.rhs.replications == total
+        assert r.verdict == "holds"
+
+
 def test_levy_mc_matches_exact():
     tg = [0.5, 1.5, 2.5, 3.5]
     exact = check_levy(rademacher(), n=6, t_grid=tg, mode="exact")
@@ -372,6 +395,8 @@ def test_wlln_validation():
         run_wlln(d, pair, n_grid=[4, 32], R=1000, key=KEY)
     with pytest.raises(ConfigurationError, match="lambda_grid"):
         run_wlln(d, pair, lambda_grid=[0.5, 0.5], R=1000, key=KEY)
+    with pytest.raises(ConfigurationError, match="lambda_grid must be strictly increasing"):
+        cross_check_symmetrization(d, pair, lambda_grid=[1.0, 0.5], R=1000, key=KEY)
     bad = NormingPair(a=[1.0, 4.0], b=[2.0, 3.0])
     with pytest.raises(ConfigurationError, match="nondecreasing"):
         run_wlln(d, bad, R=1000, key=KEY)
@@ -485,6 +510,31 @@ def test_cross_check_diverging_case():
     # symmetrized criterion estimates the tail of X - X' by sampling
     assert all(not c.analytic for c in out.symmetrized.criterion)
     assert all(c.analytic for c in out.plain.criterion)
+
+
+def _successes(diag):
+    return [[e.successes for e in row] for row in diag.estimates]
+
+
+def test_weak_law_stream_layout_is_pinned():
+    # recorded integer successes: they move if a runner reorders the X and
+    # X' draws of a chunk or lands a draw in another replication.  Three
+    # blocks of at most 128; gamma_n and the criterion are sampled.
+    d = pareto_one_sided(1.5, SpaceSpec(2, 2.0), "iid_coordinates")
+    pair = power_pair(16, 1.0, 1.0)
+    kw = dict(
+        n_grid=[4, 16], R=300, key=StreamKey(2718), block_size=128, gamma_R=1000, criterion_R=1000
+    )
+    for threads in (1, 2):
+        diag = run_wlln(d, pair, threads=threads, **kw)
+        both = cross_check_symmetrization(d, pair, threads=threads, **kw)
+        assert not diag.criterion[0].analytic
+        assert diag.gammas[0].tolist() == both.plain.gammas[0].tolist()
+        assert diag.gammas[0].tolist() != [0.0, 0.0]
+        assert _successes(diag) == [[254, 199, 130, 63], [257, 175, 76, 40]]
+        assert _successes(both.plain) == [[254, 199, 130, 63], [269, 180, 78, 32]]
+        assert _successes(both.symmetrized) == [[288, 260, 182, 110], [283, 250, 173, 68]]
+        assert [c.p.successes for c in both.symmetrized.criterion] == [199, 34]
 
 
 def test_cross_check_deterministic():
