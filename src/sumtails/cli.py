@@ -14,12 +14,14 @@ import csv
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, DomainError
+from .estimator import DEFAULT_BLOCK_SIZE
 from .norming import NormingPair, build_function_pair, power_pair
 from .sources import (
     STREAM_VECTORS,
@@ -97,168 +99,147 @@ def _path(parent: str, key: str) -> str:
     return f"{parent}.{key}" if parent else key
 
 
-def _need(cfg: dict, key: str, parent: str):
-    if key not in cfg:
+_REQUIRED = object()
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "an array",
+}
+
+
+def _check(v, path: str, kind):
+    """v if it has the JSON type kind, else an error naming path.
+
+    kind is int, float (any number, returned as a float), str, dict or
+    list; [kind] is an array whose elements all have that kind.
+    """
+    if isinstance(kind, list):
+        return [_check(e, f"{path}[{i}]", kind[0]) for i, e in enumerate(_check(v, path, list))]
+    if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
+        raise ConfigurationError(f"{path}: expected {_KIND_NAMES[kind]}, got {v!r}")
+    return float(v) if kind is float else v
+
+
+def _get(cfg: dict, parent: str, key: str, kind, default=_REQUIRED):
+    """cfg[key] checked against kind; default when absent, or an error if required."""
+    if key in cfg:
+        return _check(cfg[key], _path(parent, key), kind)
+    if default is _REQUIRED:
         raise ConfigurationError(f"missing required key {_path(parent, key)}")
-    return cfg[key]
+    return default
 
 
-def _as_int(v, path: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigurationError(f"{path}: expected an integer, got {v!r}")
-    return v
-
-
-def _as_number(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _as_str(v, path: str) -> str:
-    if not isinstance(v, str):
-        raise ConfigurationError(f"{path}: expected a string, got {v!r}")
-    return v
-
-
-def _as_dict(v, path: str) -> dict:
-    if not isinstance(v, dict):
-        raise ConfigurationError(f"{path}: expected an object, got {v!r}")
-    return v
-
-
-def _as_list(v, path: str) -> list:
-    if not isinstance(v, list):
-        raise ConfigurationError(f"{path}: expected an array, got {v!r}")
-    return v
+def _build(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs) with its errors, which name no key path, prefixed by path."""
+    try:
+        return make(*args, **kwargs)
+    except (ConfigurationError, DomainError) as e:
+        if not path:
+            raise
+        raise ConfigurationError(f"{path}: {e}") from None
 
 
 def _space_from(cfg: dict, parent: str) -> SpaceSpec:
-    sc = _as_dict(_need(cfg, "space", parent), _path(parent, "space"))
-    dim = _as_int(_need(sc, "dim", _path(parent, "space")), _path(parent, "space.dim"))
-    q_raw = sc.get("q", 2)
-    path_q = _path(parent, "space.q")
-    if isinstance(q_raw, str):
-        if q_raw not in ("inf", "Infinity"):
-            raise ConfigurationError(f"{path_q}: expected a number >= 1 or 'inf', got {q_raw!r}")
+    path = _path(parent, "space")
+    sc = _get(cfg, parent, "space", dict)
+    dim = _get(sc, path, "dim", int)
+    q = sc.get("q", 2.0)
+    if isinstance(q, str):
+        if q not in ("inf", "Infinity"):
+            raise ConfigurationError(f"{path}.q: expected a number >= 1 or 'inf', got {q!r}")
         q = float("inf")
     else:
-        q = _as_number(q_raw, path_q)
-    try:
-        return SpaceSpec(dim=dim, q=q)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{_path(parent, 'space')}: {e}") from None
+        q = _check(q, f"{path}.q", float)
+    return _build(path, SpaceSpec, dim=dim, q=q)
 
 
-def _dist_from(cfg: dict, space: SpaceSpec, parent: str) -> DistributionSpec:
-    path = _path(parent, "distribution")
-    dc = _as_dict(_need(cfg, "distribution", parent), path)
-    return _dist_from_dict(dc, space, path)
-
-
-def _dist_from_dict(dc: dict, space: SpaceSpec, path: str) -> DistributionSpec:
-    kind = _as_str(_need(dc, "kind", path), f"{path}.kind")
-    lifting = _as_str(dc.get("lifting", "scalar"), f"{path}.lifting")
-    kwargs = {"kind": kind, "space": space, "lifting": lifting}
+def _dist_from(cfg: dict, space: SpaceSpec, parent: str, key="distribution") -> DistributionSpec:
+    path = _path(parent, key)
+    dc = _get(cfg, parent, key, dict)
+    kind = _get(dc, path, "kind", str)
+    kwargs = {"kind": kind, "space": space, "lifting": _get(dc, path, "lifting", str, "scalar")}
     if kind in ("pareto_symmetric", "pareto_one_sided", "stable_symmetric"):
-        kwargs["alpha"] = _as_number(_need(dc, "alpha", path), f"{path}.alpha")
+        kwargs["alpha"] = _get(dc, path, "alpha", float)
     elif kind == "uniform_ball":
-        kwargs["radius"] = _as_number(_need(dc, "radius", path), f"{path}.radius")
+        kwargs["radius"] = _get(dc, path, "radius", float)
     elif kind == "point_mass":
-        v = _as_list(_need(dc, "v", path), f"{path}.v")
-        kwargs["v"] = tuple(_as_number(c, f"{path}.v[{i}]") for i, c in enumerate(v))
+        kwargs["v"] = tuple(_get(dc, path, "v", [float]))
     elif kind == "shifted":
-        base = _as_dict(_need(dc, "base", path), f"{path}.base")
-        shift = _as_list(_need(dc, "shift", path), f"{path}.shift")
-        kwargs["base"] = _dist_from_dict(base, space, f"{path}.base")
-        kwargs["shift"] = tuple(_as_number(c, f"{path}.shift[{i}]") for i, c in enumerate(shift))
+        kwargs["shift"] = tuple(_get(dc, path, "shift", [float]))
+        kwargs["base"] = _dist_from(dc, space, path, "base")
         kwargs["lifting"] = kwargs["base"].lifting
     elif kind != "rademacher":
         raise ConfigurationError(f"{path}.kind: unknown distribution kind {kind!r}")
-    try:
-        return DistributionSpec(**kwargs)
-    except ConfigurationError as e:
-        raise ConfigurationError(f"{path}: {e}") from None
+    return _build(path, DistributionSpec, **kwargs)
 
 
 def _norming_from(cfg: dict, parent: str) -> NormingPair:
     path = _path(parent, "norming")
-    nc = _as_dict(_need(cfg, "norming", parent), path)
-    kind = _as_str(_need(nc, "kind", path), f"{path}.kind")
-    try:
-        if kind == "power":
-            n_max = _as_int(_need(nc, "n_max", path), f"{path}.n_max")
-            exp_a = _as_number(_need(nc, "exp_a", path), f"{path}.exp_a")
-            exp_b = _as_number(nc.get("exp_b", 1.0), f"{path}.exp_b")
-            return power_pair(n_max, exp_a, exp_b)
-        if kind == "explicit":
-            a = _as_list(_need(nc, "a", path), f"{path}.a")
-            b = _as_list(_need(nc, "b", path), f"{path}.b")
-            return NormingPair(a=np.asarray(a, dtype=float), b=np.asarray(b, dtype=float))
-    except (ConfigurationError, DomainError) as e:
-        raise ConfigurationError(f"{path}: {e}") from None
+    nc = _get(cfg, parent, "norming", dict)
+    kind = _get(nc, path, "kind", str)
+    if kind == "power":
+        n_max = _get(nc, path, "n_max", int)
+        exp_a = _get(nc, path, "exp_a", float)
+        return _build(path, power_pair, n_max, exp_a, _get(nc, path, "exp_b", float, 1.0))
+    if kind == "explicit":
+        a = np.asarray(_get(nc, path, "a", [float]))
+        b = np.asarray(_get(nc, path, "b", [float]))
+        return _build(path, NormingPair, a, b)
     raise ConfigurationError(f"{path}.kind: expected 'power' or 'explicit', got {kind!r}")
 
 
-def _grid_from(raw, path: str) -> np.ndarray:
-    if isinstance(raw, list):
-        return np.asarray([_as_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
-    gc = _as_dict(raw, path)
-    start = _as_number(gc.get("start", 0.0), f"{path}.start")
-    stop = _as_number(_need(gc, "stop", path), f"{path}.stop")
-    points = _as_int(_need(gc, "points", path), f"{path}.points")
+def _grid_from(cfg: dict, parent: str, key: str, default=None):
+    """An array of numbers, or {start, stop, points} for a linspace."""
+    if isinstance(cfg.get(key), list):
+        return np.asarray(_get(cfg, parent, key, [float]))
+    path = _path(parent, key)
+    gc = _get(cfg, parent, key, dict, None)
+    if gc is None:
+        return default
+    start = _get(gc, path, "start", float, 0.0)
+    stop = _get(gc, path, "stop", float)
+    points = _get(gc, path, "points", int)
     if points < 1:
         raise ConfigurationError(f"{path}.points: must be >= 1")
     return np.linspace(start, stop, points)
 
 
-def _vector_count(cfg: dict, parent: str) -> int:
+def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radius_for):
+    """The x_i as listed, or drawn uniformly in the ball of radius scale * radius_for(count).
+
+    radius_for also vets the count, so it runs for listed vectors too.
+    """
     path = _path(parent, "vectors")
-    raw = _need(cfg, "vectors", parent)
-    if isinstance(raw, list):
-        if not raw:
+    if isinstance(cfg.get("vectors"), list):
+        rows = _get(cfg, parent, "vectors", [[float]])
+        if not rows:
             raise ConfigurationError(f"{path}: must be nonempty")
-        return len(raw)
-    rc = _as_dict(raw, path)
-    rnd = _as_dict(_need(rc, "random", path), f"{path}.random")
-    count = _as_int(_need(rnd, "count", f"{path}.random"), f"{path}.random.count")
+        radius_for(len(rows))
+        if any(len(row) != space.dim for row in rows):
+            raise ConfigurationError(f"{path}: vectors must all have {space.dim} coordinates")
+        return np.asarray(rows)
+    rc = _get(cfg, parent, "vectors", dict)
+    rnd = _get(rc, path, "random", dict)
+    count = _get(rnd, f"{path}.random", "count", int)
     if count < 1:
         raise ConfigurationError(f"{path}.random.count: must be >= 1")
-    return count
-
-
-def _vectors_from(cfg: dict, space: SpaceSpec, radius_cap: float, key: StreamKey, parent: str):
-    path = _path(parent, "vectors")
-    raw = cfg["vectors"]
-    if isinstance(raw, list):
-        arr = np.asarray(
-            [
-                [_as_number(c, f"{path}[{i}][{j}]") for j, c in enumerate(_as_list(row, f"{path}[{i}]"))]
-                for i, row in enumerate(raw)
-            ],
-            dtype=float,
-        )
-        if arr.ndim != 2 or arr.shape[1] != space.dim:
-            raise ConfigurationError(f"{path}: vectors must all have {space.dim} coordinates")
-        return arr
-    rnd = raw["random"]
-    count = rnd["count"]
-    scale = _as_number(rnd.get("scale", 1.0), f"{path}.random.scale")
+    radius = radius_for(count)
+    scale = _get(rnd, f"{path}.random", "scale", float, 1.0)
     if not (0 < scale <= 1.0):
         raise ConfigurationError(f"{path}.random.scale: must lie in (0, 1]")
-    return uniform_in_ball(space, scale * radius_cap, key.substream(STREAM_VECTORS), count)
+    return uniform_in_ball(space, scale * radius, key.substream(STREAM_VECTORS), count)
 
 
 def _weights_from(cfg: dict, n: int, key: StreamKey, parent: str) -> np.ndarray:
     path = _path(parent, "weights")
-    raw = _need(cfg, "weights", parent)
-    if isinstance(raw, list):
-        w = np.asarray([_as_number(v, f"{path}[{i}]") for i, v in enumerate(raw)])
+    if isinstance(cfg.get("weights"), list):
+        w = np.asarray(_get(cfg, parent, "weights", [float]))
         if w.size != n:
             raise ConfigurationError(f"{path}: expected {n} weights, got {w.size}")
         return w
-    rc = _as_dict(raw, path)
-    if rc.get("random") is not True:
+    if _get(cfg, parent, "weights", dict).get("random") is not True:
         raise ConfigurationError(f'{path}: expected an array or {{"random": true}}')
     rng = key.substream(STREAM_VECTORS).replication(1).generator()
     return rng.uniform(-1.0, 1.0, n)
@@ -290,76 +271,49 @@ def _report_row(index: int, rpt) -> dict:
     }
 
 
-def _mode_and_r(cfg: dict, parent: str, default_mode: str):
-    mode = _as_str(cfg.get("mode", default_mode), _path(parent, "mode"))
-    R = None
-    if mode == "mc":
-        R = _as_int(_need(cfg, "R", parent), _path(parent, "R"))
-    return mode, R
-
-
 def _run_inequality(cfg: dict, index: int, seed: int, threads: int, confidence: float, parent: str):
-    experiment = _as_str(_need(cfg, "experiment", parent), _path(parent, "experiment"))
+    experiment = cfg["experiment"]
     key = StreamKey(master_seed=(seed + index) % 2**64)
-    block_size = _as_int(cfg.get("block_size", 4096), _path(parent, "block_size"))
-    t_grid = _grid_from(cfg["t_grid"], _path(parent, "t_grid")) if "t_grid" in cfg else None
-
+    space = _space_from(cfg, parent)
+    kwargs = {
+        "t_grid": _grid_from(cfg, parent, "t_grid"),
+        "key": key,
+        "confidence": confidence,
+        "block_size": _get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
+        "threads": threads,
+    }
+    # thm11_ii is Monte Carlo only and takes no mode
+    if experiment != "thm11_ii":
+        kwargs["mode"] = _get(cfg, parent, "mode", str, "mc" if experiment == "levy" else "exact")
+    kwargs["R"] = _get(cfg, parent, "R", int) if kwargs.get("mode", "mc") == "mc" else None
     if experiment == "thm11_i":
-        space = _space_from(cfg, parent)
         pair = _norming_from(cfg, parent)
-        fp = build_function_pair(pair)
-        count = _vector_count(cfg, parent)
-        if count > len(pair):
-            raise ConfigurationError(
-                f"{_path(parent, 'vectors')}: n = {count} exceeds norming length {len(pair)}"
-            )
-        b_n = float(pair.b[count - 1])
-        x = _vectors_from(cfg, space, b_n, key, parent)
-        mode, R = _mode_and_r(cfg, parent, "exact")
-        reports = check_thm11_i(
-            x, fp, space, t_grid=t_grid, mode=mode, R=R, key=key,
-            confidence=confidence, block_size=block_size, threads=threads,
-        )
+
+        def b_of(count):
+            if count > len(pair):
+                raise ConfigurationError(
+                    f"{_path(parent, 'vectors')}: n = {count} exceeds norming length {len(pair)}"
+                )
+            return float(pair.b[count - 1])
+
+        x = _vectors_from(cfg, space, key, parent, b_of)
+        checker, args = check_thm11_i, (x, build_function_pair(pair), space)
     elif experiment == "contraction":
-        space = _space_from(cfg, parent)
-        count = _vector_count(cfg, parent)
-        radius_cap = _as_number(cfg.get("vector_scale", 1.0), _path(parent, "vector_scale"))
-        x = _vectors_from(cfg, space, radius_cap, key, parent)
-        w = _weights_from(cfg, count, key, parent)
-        mode, R = _mode_and_r(cfg, parent, "exact")
-        reports = check_contraction(
-            x, w, space, t_grid=t_grid, mode=mode, R=R, key=key,
-            confidence=confidence, block_size=block_size, threads=threads,
-        )
-    elif experiment == "thm11_ii":
-        space = _space_from(cfg, parent)
-        d = _dist_from(cfg, space, parent)
-        pair = _norming_from(cfg, parent)
-        fp = build_function_pair(pair)
-        n = _as_int(_need(cfg, "n", parent), _path(parent, "n"))
-        R = _as_int(_need(cfg, "R", parent), _path(parent, "R"))
-        reports = check_thm11_ii(
-            d, fp, n, t_grid=t_grid, R=R, key=key,
-            confidence=confidence, block_size=block_size, threads=threads,
-        )
-    elif experiment == "levy":
-        space = _space_from(cfg, parent)
-        d = _dist_from(cfg, space, parent)
-        n = _as_int(_need(cfg, "n", parent), _path(parent, "n"))
-        b_n = _as_number(cfg.get("b_n", 1.0), _path(parent, "b_n"))
-        mode, R = _mode_and_r(cfg, parent, "mc")
-        reports = check_levy(
-            d, n, t_grid=t_grid, R=R if R is not None else 10**5, key=key, b_n=b_n,
-            mode=mode, confidence=confidence, block_size=block_size, threads=threads,
-        )
+        radius = _get(cfg, parent, "vector_scale", float, 1.0)
+        x = _vectors_from(cfg, space, key, parent, lambda count: radius)
+        checker, args = check_contraction, (x, _weights_from(cfg, len(x), key, parent), space)
     else:
-        raise ConfigurationError(
-            f"{_path(parent, 'experiment')}: expected one of {_INEQ_EXPERIMENTS}, got {experiment!r}"
-        )
+        d = _dist_from(cfg, space, parent)
+        if experiment == "thm11_ii":
+            fp = build_function_pair(_norming_from(cfg, parent))
+            checker, args = check_thm11_ii, (d, fp, _get(cfg, parent, "n", int))
+        else:
+            checker, args = check_levy, (d, _get(cfg, parent, "n", int))
+            kwargs["b_n"] = _get(cfg, parent, "b_n", float, 1.0)
+    # inside a sweep the checker's errors name the config they concern
+    reports = _build(parent, checker, *args, **kwargs)
     rows = [_report_row(index, r) for r in reports]
-    verdicts: dict[str, int] = {}
-    for r in reports:
-        verdicts[r.verdict] = verdicts.get(r.verdict, 0) + 1
+    verdicts = dict(Counter(r.verdict for r in reports))
     summary = {
         "experiment": experiment,
         "rows": len(rows),
@@ -372,24 +326,17 @@ def _run_inequality(cfg: dict, index: int, seed: int, threads: int, confidence: 
 
 def _run_wlln_config(cfg: dict, index: int, seed: int, threads: int, confidence: float, parent: str):
     space = _space_from(cfg, parent)
-    d = _dist_from(cfg, space, parent)
-    pair = _norming_from(cfg, parent)
-    key = StreamKey(master_seed=(seed + index) % 2**64)
-    n_grid = None
-    if "n_grid" in cfg:
-        n_grid = [
-            _as_int(v, f"{_path(parent, 'n_grid')}[{i}]")
-            for i, v in enumerate(_as_list(cfg["n_grid"], _path(parent, "n_grid")))
-        ]
-    lambda_grid = DEFAULT_LAMBDA_GRID
-    if "lambda_grid" in cfg:
-        lambda_grid = _grid_from(cfg["lambda_grid"], _path(parent, "lambda_grid"))
-    R = _as_int(_need(cfg, "R", parent), _path(parent, "R"))
-    block_size = _as_int(cfg.get("block_size", 4096), _path(parent, "block_size"))
-    gamma_mode = _as_str(cfg.get("gamma_mode", "auto"), _path(parent, "gamma_mode"))
     diag = run_wlln(
-        d, pair, n_grid=n_grid, lambda_grid=lambda_grid, R=R, key=key,
-        confidence=confidence, block_size=block_size, threads=threads, gamma_mode=gamma_mode,
+        _dist_from(cfg, space, parent),
+        _norming_from(cfg, parent),
+        n_grid=_get(cfg, parent, "n_grid", [int], None),
+        lambda_grid=_grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
+        R=_get(cfg, parent, "R", int),
+        key=StreamKey(master_seed=(seed + index) % 2**64),
+        confidence=confidence,
+        block_size=_get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
+        threads=threads,
+        gamma_mode=_get(cfg, parent, "gamma_mode", str, "auto"),
     )
     rows = []
     for i, n in enumerate(diag.n_grid):
@@ -442,20 +389,18 @@ def validate_config(cfg: dict) -> str:
     """Structural validation; returns the experiment kind or raises."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root: expected a JSON object")
-    version = _as_int(_need(cfg, "schema_version", ""), "schema_version")
+    version = _get(cfg, "", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-    experiment = _as_str(_need(cfg, "experiment", ""), "experiment")
+    experiment = _get(cfg, "", "experiment", str)
     if experiment not in _EXPERIMENTS:
         raise ConfigurationError(f"experiment: expected one of {_EXPERIMENTS}, got {experiment!r}")
     if experiment == "sweep":
-        configs = _as_list(_need(cfg, "configs", ""), "configs")
+        configs = _get(cfg, "", "configs", [dict])
         if not configs:
             raise ConfigurationError("configs: must be a nonempty array")
         for i, sub in enumerate(configs):
-            sub_d = _as_dict(sub, f"configs[{i}]")
-            sub_exp = _as_str(_need(sub_d, "experiment", f"configs[{i}]"), f"configs[{i}].experiment")
-            if sub_exp not in _INEQ_EXPERIMENTS:
+            if _get(sub, f"configs[{i}]", "experiment", str) not in _INEQ_EXPERIMENTS:
                 raise ConfigurationError(
                     f"configs[{i}].experiment: sweeps accept only {_INEQ_EXPERIMENTS}"
                 )
@@ -465,7 +410,7 @@ def validate_config(cfg: dict) -> str:
                 "missing required key seed (pass --seed or set it in the config;"
                 " there is no wall-clock default)"
             )
-        _as_int(cfg["seed"], "seed")
+        _get(cfg, "", "seed", int)
     return experiment
 
 
@@ -482,13 +427,13 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         if override is not None:
             cfg[key_name] = override
     experiment = validate_config(cfg)
-    threads_v = _as_int(cfg.get("threads", 1), "threads")
+    threads_v = _get(cfg, "", "threads", int, 1)
     if threads_v < 1:
         raise ConfigurationError(f"threads: must be >= 1, got {threads_v}")
-    conf_v = _as_number(cfg.get("confidence", 0.99), "confidence")
+    conf_v = _get(cfg, "", "confidence", float, 0.99)
     if not (0 < conf_v < 1):
         raise ConfigurationError(f"confidence: must lie in (0, 1), got {conf_v}")
-    out_dir = Path(_as_str(cfg.get("out", "sumtails_out"), "out"))
+    out_dir = Path(_get(cfg, "", "out", str, "sumtails_out"))
 
     if experiment == "construct":
         rows, summary, violated = _run_construct(cfg, "")
@@ -497,7 +442,6 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
     else:
         # a single config runs as a sweep of one: config index 0, key
         # seed + 0, and key paths without a configs[i] prefix
-        seed_v = _as_int(cfg["seed"], "seed")
         runner, columns = _run_inequality, INEQ_COLUMNS
         if experiment == "wlln":
             runner, columns = _run_wlln_config, WLLN_COLUMNS
@@ -505,7 +449,7 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         rows, summaries, violated = [], [], False
         for i, sub in enumerate(cfg["configs"] if sweep else [cfg]):
             sub_rows, sub_summary, sub_violated = runner(
-                sub, i, seed_v, threads_v, conf_v, f"configs[{i}]" if sweep else ""
+                sub, i, cfg["seed"], threads_v, conf_v, f"configs[{i}]" if sweep else ""
             )
             rows.extend(sub_rows)
             summaries.append(sub_summary)

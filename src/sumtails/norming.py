@@ -24,6 +24,9 @@ __all__ = [
     "power_pair",
 ]
 
+# relative slack of the b/a monotonicity check, absorbing roundoff in b_n / a_n
+_RATIO_RTOL = 1e-12
+
 
 def _as_increasing(seq, name: str) -> np.ndarray:
     arr = np.asarray(seq, dtype=float)
@@ -62,10 +65,10 @@ class NormingPair:
         return int(self.a.size)
 
 
-def check_ratio_monotone(pair: NormingPair, rtol: float = 1e-12) -> bool:
-    """True when b_n / a_n is nondecreasing in n (up to relative slack)."""
+def check_ratio_monotone(pair: NormingPair) -> bool:
+    """True when b_n / a_n is nondecreasing in n, up to _RATIO_RTOL * max(b/a)."""
     r = pair.b / pair.a
-    slack = rtol * float(np.max(r))
+    slack = _RATIO_RTOL * float(np.max(r))
     return bool(np.all(np.diff(r) >= -slack))
 
 

@@ -1,8 +1,7 @@
 """Finite-dimensional normed spaces (R^d with an l_q norm).
 
 Vectors are one-dimensional numpy arrays (or anything ``np.asarray``
-accepts).  Batched helpers treat the last axis as the coordinate axis
-unless told otherwise.
+accepts).  Batched helpers treat the last axis as the coordinate axis.
 """
 
 from __future__ import annotations
@@ -69,23 +68,20 @@ def norm(v, space: SpaceSpec) -> float:
     return math.fsum(abs(float(x)) ** q for x in a) ** (1.0 / q)
 
 
-def norms(arr, space: SpaceSpec, axis: int = -1) -> np.ndarray:
-    """Batched l_q norms along ``axis`` (vectorised, no fsum)."""
+def norms(arr, space: SpaceSpec) -> np.ndarray:
+    """Batched l_q norms along the last axis (vectorised, no fsum)."""
     a = np.asarray(arr, dtype=float)
-    if a.shape[axis] != space.dim:
-        raise DomainError(
-            f"axis {axis} has length {a.shape[axis]}, space has dim {space.dim}"
-        )
+    _check_dim(a, space, "last axis")
     if space.dim == 1:
-        return np.abs(np.squeeze(a, axis=axis))
+        return np.abs(np.squeeze(a, axis=-1))
     q = space.q
     if math.isinf(q):
-        return np.max(np.abs(a), axis=axis)
+        return np.max(np.abs(a), axis=-1)
     if q == 1.0:
-        return np.sum(np.abs(a), axis=axis)
+        return np.sum(np.abs(a), axis=-1)
     if q == 2.0:
-        return np.sqrt(np.sum(a * a, axis=axis))
-    return np.sum(np.abs(a) ** q, axis=axis) ** (1.0 / q)
+        return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
 
 
 def vsum(vectors, space: SpaceSpec) -> np.ndarray:

@@ -36,7 +36,7 @@ from .sources import (
     truncated_mean,
 )
 from .space import SpaceSpec, norms
-from .transforms import TransformContext, gamma_n, rescale_factors
+from .transforms import gamma_n, rescale_factors
 
 __all__ = [
     "InequalityReport",
@@ -143,8 +143,10 @@ def _as_grid(values, name: str) -> np.ndarray:
     return arr
 
 
-def _default_t_grid(scale: float) -> np.ndarray:
-    return np.linspace(0.0, scale, DEFAULT_T_POINTS)
+def _t_grid(t_grid, default_stop: float) -> np.ndarray:
+    if t_grid is None:
+        return np.linspace(0.0, default_stop, DEFAULT_T_POINTS)
+    return _as_grid(t_grid, "t_grid")
 
 
 def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndarray:
@@ -168,15 +170,46 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndar
     return cum[valid] - cum[at_most]
 
 
-def _reports(
-    name, tg, counts, reps, factor, config, confidence, exact=False, tail_term=None, tail_weight=0
+def _compare(
+    name, tg, factor, config, confidence, mode, R, key, block_size, threads,
+    sides, exact=None, tail=None, tail_weight=0,
 ):
-    """One report per threshold from the lhs and rhs success counts."""
+    """One report per threshold from the lhs and rhs success counts.
+
+    Exact mode takes exact(): the lhs and rhs counts at every t and the
+    number of equally likely outcomes.  Monte Carlo runs sides(rng, m),
+    which returns the lhs and rhs statistics of m replications followed
+    by any integer counts to total over all blocks; tail(totals) turns
+    those totals into the tail term, which the bound weighs by tail_weight.
+    """
+    tail_term = None
+    if mode == "exact":
+        lhs, rhs, reps = exact()
+    else:
+        if mode != "mc":
+            raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+        if R is None or key is None:
+            raise ConfigurationError("mc mode needs R and a StreamKey")
+        if R < 100:
+            raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+
+        def block(rng, m):
+            s_l, s_r, *extra = sides(rng, m)
+            return {
+                "lhs": _counts_per_threshold(s_l, tg),
+                "rhs": _counts_per_threshold(s_r, tg),
+                "extra": np.array(extra, dtype=np.int64),
+            }
+
+        totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
+        lhs, rhs, reps = totals["lhs"], totals["rhs"], R
+        if tail is not None:
+            tail_term = tail(totals["extra"])
     out = []
     for j, t in enumerate(tg):
-        lhs = TailEstimate.from_counts(int(counts["lhs"][j]), reps, confidence, exact)
-        rhs = TailEstimate.from_counts(int(counts["rhs"][j]), reps, confidence, exact)
-        out.append(_finish_report(name, t, lhs, rhs, factor, tail_term, tail_weight, config))
+        lhs_j = TailEstimate.from_counts(int(lhs[j]), reps, confidence, mode == "exact")
+        rhs_j = TailEstimate.from_counts(int(rhs[j]), reps, confidence, mode == "exact")
+        out.append(_finish_report(name, t, lhs_j, rhs_j, factor, tail_term, tail_weight, config))
     return out
 
 
@@ -203,8 +236,8 @@ def check_thm11_i(
     big_n = len(fp.pair)
     if n > big_n:
         raise ConfigurationError(f"n = {n} exceeds the norming pair length {big_n}")
-    ctx = TransformContext(function_pair=fp, space=space, n=n)
-    b_n, a_n = ctx.b_n, ctx.a_n
+    b_n = float(fp.pair.b[n - 1])
+    a_n = float(fp.pair.a[n - 1])
     xnorms = norms(xa, space)
     bad = np.nonzero(xnorms > b_n)[0]
     if bad.size:
@@ -213,11 +246,7 @@ def check_thm11_i(
             f"hypothesis ||x_i|| <= b_n fails at i = {i + 1}: ||x|| = {xnorms[i]} > {b_n}"
         )
     t_vec = xa * rescale_factors(xnorms, fp)[:, None]
-    tg = (
-        _default_t_grid(1.2 * float(np.sum(xnorms)) / b_n)
-        if t_grid is None
-        else _as_grid(t_grid, "t_grid")
-    )
+    tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)
     config = {
         "n": n,
         "dim": space.dim,
@@ -226,25 +255,19 @@ def check_thm11_i(
         "b_n": b_n,
         "mode": mode,
     }
-    if mode == "exact":
-        counts = {
-            "lhs": _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n),
-            "rhs": _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n),
-        }
-        return _reports("thm11_i", tg, counts, 1 << n, 2.0, config, confidence, exact=True)
-    if mode != "mc":
-        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if R is None or key is None:
-        raise ConfigurationError("mc mode needs R and a StreamKey")
 
-    def block(rng, m):
+    def exact():
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
+        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
+        return lhs, rhs, 1 << n
+
+    def sides(rng, m):
         signs = rng.integers(0, 2, (m, n)).astype(float) * 2.0 - 1.0
-        s_l = norms(signs @ xa, space) / b_n
-        s_r = norms(signs @ t_vec, space) / a_n
-        return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
+        return norms(signs @ xa, space) / b_n, norms(signs @ t_vec, space) / a_n
 
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    return _reports("thm11_i", tg, totals, R, 2.0, config, confidence)
+    return _compare(
+        "thm11_i", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    )
 
 
 def check_contraction(
@@ -269,32 +292,21 @@ def check_contraction(
     if bad.size:
         i = int(bad[0])
         raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
-    xnorms = norms(xa, space)
-    tg = (
-        _default_t_grid(1.2 * float(np.sum(xnorms)))
-        if t_grid is None
-        else _as_grid(t_grid, "t_grid")
-    )
+    tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
     config = {"n": n, "dim": space.dim, "q": space.q, "mode": mode}
-    if mode == "exact":
-        counts = {
-            "lhs": _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg),
-            "rhs": _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg),
-        }
-        return _reports("contraction", tg, counts, 1 << n, 2.0, config, confidence, exact=True)
-    if mode != "mc":
-        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if R is None or key is None:
-        raise ConfigurationError("mc mode needs R and a StreamKey")
 
-    def block(rng, m):
+    def exact():
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
+        rhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
+        return lhs, rhs, 1 << n
+
+    def sides(rng, m):
         signs = rng.integers(0, 2, (m, n)).astype(float) * 2.0 - 1.0
-        s_l = norms(signs @ (w[:, None] * xa), space)
-        s_r = norms(signs @ xa, space)
-        return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
+        return norms(signs @ (w[:, None] * xa), space), norms(signs @ xa, space)
 
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    return _reports("contraction", tg, totals, R, 2.0, config, confidence)
+    return _compare(
+        "contraction", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    )
 
 
 def _require_extension_safe(pair: NormingPair) -> None:
@@ -334,8 +346,6 @@ def check_thm11_ii(
     """
     if not is_symmetric(d):
         raise ConfigurationError("the comparison requires a symmetric law; got a non-symmetric spec")
-    if key is None:
-        raise ConfigurationError("check_thm11_ii needs a StreamKey")
     big_n = len(fp.pair)
     if not (1 <= n <= big_n):
         raise ConfigurationError(f"n must lie in [1, {big_n}], got {n}")
@@ -343,26 +353,8 @@ def check_thm11_ii(
     space = d.space
     b_n = float(fp.pair.b[n - 1])
     a_n = float(fp.pair.a[n - 1])
-    tg = _default_t_grid(DEFAULT_T_STOP) if t_grid is None else _as_grid(t_grid, "t_grid")
+    tg = _t_grid(t_grid, DEFAULT_T_STOP)
     analytic_tail = tail_prob(d, b_n)
-
-    def block(rng, m):
-        v = draw(d, rng, (m, n))
-        nv = norms(v, space)
-        s_l = norms(v.sum(axis=1), space) / b_n
-        t_vecs = v * rescale_factors(nv, fp)[..., None]
-        s_r = norms(t_vecs.sum(axis=1), space) / a_n
-        return {
-            "lhs": _counts_per_threshold(s_l, tg),
-            "rhs": _counts_per_threshold(s_r, tg),
-            "exceed": np.array([int((nv > b_n).sum())]),
-        }
-
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    if analytic_tail is not None:
-        tail_term = TailEstimate.known(analytic_tail)
-    else:
-        tail_term = TailEstimate.from_counts(int(totals["exceed"][0]), R * n, confidence)
     config = {
         "kind": d.kind,
         "lifting": d.lifting,
@@ -374,8 +366,23 @@ def check_thm11_ii(
         "R": R,
         "mode": "mc",
     }
-    return _reports(
-        "thm11_ii", tg, totals, R, 4.0, config, confidence, tail_term=tail_term, tail_weight=n
+
+    def sides(rng, m):
+        v = draw(d, rng, (m, n))
+        nv = norms(v, space)
+        s_l = norms(v.sum(axis=1), space) / b_n
+        t_vecs = v * rescale_factors(nv, fp)[..., None]
+        s_r = norms(t_vecs.sum(axis=1), space) / a_n
+        return s_l, s_r, int((nv > b_n).sum())
+
+    def tail(exceed):
+        if analytic_tail is not None:
+            return TailEstimate.known(analytic_tail)
+        return TailEstimate.from_counts(int(exceed[0]), R * n, confidence)
+
+    return _compare(
+        "thm11_ii", tg, 4.0, config, confidence, "mc", R, key, block_size, threads,
+        sides, tail=tail, tail_weight=n,
     )
 
 
@@ -404,7 +411,7 @@ def check_levy(
         raise ConfigurationError(f"n must be >= 1, got {n}")
     if b_n <= 0:
         raise ConfigurationError(f"b_n must be positive, got {b_n}")
-    tg = _default_t_grid(DEFAULT_T_STOP) if t_grid is None else _as_grid(t_grid, "t_grid")
+    tg = _t_grid(t_grid, DEFAULT_T_STOP)
     space = d.space
     config = {
         "kind": d.kind,
@@ -415,7 +422,8 @@ def check_levy(
         "b_n": b_n,
         "mode": mode,
     }
-    if mode == "exact":
+
+    def exact():
         if d.kind != "rademacher" or space.dim != 1:
             raise ConfigurationError("exact mode covers the scalar random-sign law only")
         if n > LEVY_EXACT_MAX_N:
@@ -432,28 +440,19 @@ def check_levy(
         # the maximal difference is 0 only when every difference is
         max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
         thr = tg * b_n
-        counts = {
-            "lhs": _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights),
-            "rhs": _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights),
-        }
-        return _reports("levy", tg, counts, 4**n, 2.0, config, confidence, exact=True)
-    if mode != "mc":
-        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    if key is None:
-        raise ConfigurationError("mc mode needs a StreamKey")
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
+        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
+        return lhs, rhs, 4**n
 
-    def block(rng, m):
+    def sides(rng, m):
         x = draw(d, rng, (m, n))
         x_prime = draw(d, rng, (m, n))
         diff = x - x_prime
-        s_l = norms(diff, space).max(axis=1) / b_n
-        s_r = norms(diff.sum(axis=1), space) / b_n
-        return {"lhs": _counts_per_threshold(s_l, tg), "rhs": _counts_per_threshold(s_r, tg)}
+        return norms(diff, space).max(axis=1) / b_n, norms(diff.sum(axis=1), space) / b_n
 
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    return _reports("levy", tg, totals, R, 2.0, config, confidence)
+    return _compare(
+        "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    )
 
 
 @dataclass(frozen=True)

@@ -353,3 +353,153 @@ def test_module_entry_matches_script(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert (out / "results.csv").exists()
+
+
+KEY_PATH_SWEEP = {
+    "schema_version": 1,
+    "experiment": "sweep",
+    "seed": 7,
+    "configs": [
+        {
+            "experiment": "thm11_i",
+            "space": {"dim": 1, "q": 2},
+            "norming": {"kind": "power", "n_max": 8, "exp_a": 0.5, "exp_b": 1.0},
+            "vectors": [[0.5], [-1.0], [1.5]],
+            "t_grid": [0.0, 0.5, 1.0],
+        },
+        {
+            "experiment": "contraction",
+            "space": {"dim": 2, "q": 1},
+            "vectors": {"random": {"count": 3}},
+            "weights": {"random": True},
+            "t_grid": {"stop": 1.0, "points": 3},
+        },
+        {
+            "experiment": "thm11_ii",
+            "space": {"dim": 1, "q": 2},
+            "distribution": {"kind": "pareto_symmetric", "alpha": 1.5},
+            "norming": {"kind": "power", "n_max": 8, "exp_a": 0.5, "exp_b": 1.0},
+            "n": 4,
+            "R": 200,
+            "block_size": 128,
+            "t_grid": [0.5, 1.0],
+        },
+        {
+            "experiment": "levy",
+            "space": {"dim": 1, "q": 2},
+            "distribution": {"kind": "rademacher"},
+            "n": 4,
+            "mode": "exact",
+            "b_n": 2.0,
+            "t_grid": [0.5, 1.0],
+        },
+    ],
+}
+
+_DELETE = object()
+
+
+def _broken_sweep(index, dotted, value):
+    """KEY_PATH_SWEEP with one key of configs[index] replaced or deleted."""
+    cfg = json.loads(json.dumps(KEY_PATH_SWEEP))
+    node = cfg["configs"][index]
+    *head, last = dotted.split(".")
+    for k in head:
+        node = node[k]
+    if value is _DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return cfg
+
+
+def test_key_path_sweep_runs(tmp_path):
+    assert cli.run(KEY_PATH_SWEEP, out=str(tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize(
+    "index, dotted, value, message",
+    [
+        (0, "space.dim", "x", "configs[0].space.dim: expected an integer, got 'x'"),
+        (0, "space.q", "huge", "configs[0].space.q: expected a number >= 1 or 'inf', got 'huge'"),
+        (0, "vectors", [[0.5], "a"], "configs[0].vectors[1]: expected an array, got 'a'"),
+        (0, "vectors", [[0.5], [True]], "configs[0].vectors[1][0]: expected a number, got True"),
+        (
+            0, "vectors", [[0.5, 1.0], [0.2, 0.1]],
+            "configs[0].vectors: vectors must all have 1 coordinates",
+        ),
+        (0, "vectors", [], "configs[0].vectors: must be nonempty"),
+        (0, "vectors", {"random": {"count": 0}}, "configs[0].vectors.random.count: must be >= 1"),
+        (0, "vectors", {"random": {"count": 9}}, "configs[0].vectors: n = 9 exceeds norming length 8"),
+        (0, "vectors", {"count": 2}, "missing required key configs[0].vectors.random"),
+        (
+            0, "vectors", {"random": {"count": 2, "scale": 2}},
+            "configs[0].vectors.random.scale: must lie in (0, 1]",
+        ),
+        (0, "norming", [], "configs[0].norming: expected an object, got []"),
+        (
+            0, "norming.kind", "log",
+            "configs[0].norming.kind: expected 'power' or 'explicit', got 'log'",
+        ),
+        (0, "norming.exp_a", True, "configs[0].norming.exp_a: expected a number, got True"),
+        (0, "norming.n_max", 0, "configs[0].norming: n_max must be >= 1, got 0"),
+        (0, "t_grid", {"stop": 1, "points": 0}, "configs[0].t_grid.points: must be >= 1"),
+        (0, "t_grid", [0, "1"], "configs[0].t_grid[1]: expected a number, got '1'"),
+        (0, "mode", 3, "configs[0].mode: expected a string, got 3"),
+        (1, "weights", [0.5], "configs[1].weights: expected 3 weights, got 1"),
+        (1, "weights", {"random": 1}, 'configs[1].weights: expected an array or {"random": true}'),
+        (1, "weights", _DELETE, "missing required key configs[1].weights"),
+        (1, "vectors.random.scale", 2, "configs[1].vectors.random.scale: must lie in (0, 1]"),
+        (1, "vector_scale", "1", "configs[1].vector_scale: expected a number, got '1'"),
+        (1, "mode", "mc", "missing required key configs[1].R"),
+        (
+            2, "distribution.kind", "gauss",
+            "configs[2].distribution.kind: unknown distribution kind 'gauss'",
+        ),
+        (
+            2, "distribution",
+            {"kind": "shifted", "base": {"kind": "pareto_symmetric"}, "shift": [1.0]},
+            "missing required key configs[2].distribution.base.alpha",
+        ),
+        (
+            2, "distribution", {"kind": "point_mass", "v": [1.0, None]},
+            "configs[2].distribution.v[1]: expected a number, got None",
+        ),
+        (2, "distribution.lifting", 1, "configs[2].distribution.lifting: expected a string, got 1"),
+        (2, "n", 4.0, "configs[2].n: expected an integer, got 4.0"),
+        (2, "block_size", "big", "configs[2].block_size: expected an integer, got 'big'"),
+        (2, "R", _DELETE, "missing required key configs[2].R"),
+        (2, "norming", _DELETE, "missing required key configs[2].norming"),
+        (3, "b_n", "1", "configs[3].b_n: expected a number, got '1'"),
+        (3, "space", _DELETE, "missing required key configs[3].space"),
+    ],
+)
+def test_sweep_key_path_messages(tmp_path, index, dotted, value, message):
+    with pytest.raises(ConfigurationError) as info:
+        cli.run(_broken_sweep(index, dotted, value), out=str(tmp_path / "o"))
+    assert str(info.value) == message
+
+
+def test_checker_errors_exit_2_and_name_the_config(tmp_path, capsys):
+    # the checker's own message, prefixed with the config it came from in a sweep
+    sweep = _broken_sweep(1, "t_grid", [-1.0])
+    p = _write_json(tmp_path / "sweep.json", sweep)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+    assert "configs[1]: t_grid must be finite" in capsys.readouterr().err
+    sweep["configs"][1] = dict(sweep["configs"][3], n=0)
+    p = _write_json(tmp_path / "sweep.json", sweep)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.strip() == "error: configs[1]: n must be >= 1, got 0"
+    # every Monte Carlo checker needs R >= 100; a single config keeps the bare message
+    single = dict(KEY_PATH_SWEEP["configs"][2], schema_version=1, seed=7, R=5)
+    p = _write_json(tmp_path / "thm11_ii.json", single)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "t")]) == 2
+    assert capsys.readouterr().err.strip() == "error: Monte Carlo needs R >= 100, got 5"
+
+
+def test_ragged_and_non_numeric_arrays_are_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match=r"configs\[0\]\.vectors: vectors must all have 1"):
+        cli.run(_broken_sweep(0, "vectors", [[0.5], [0.2, 0.1]]), out=str(tmp_path / "o"))
+    explicit = {"kind": "explicit", "a": [1.0, "2"], "b": [1.0, 2.0]}
+    with pytest.raises(ConfigurationError, match=r"configs\[2\]\.norming\.a\[1\]: expected a number"):
+        cli.run(_broken_sweep(2, "norming", explicit), out=str(tmp_path / "o"))

@@ -88,6 +88,8 @@ def test_thm11_i_mode_errors():
         check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="enum")
     with pytest.raises(ConfigurationError, match="StreamKey"):
         check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="mc", R=1000)
+    with pytest.raises(ConfigurationError, match="R >= 100"):
+        check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="mc", R=50, key=KEY)
 
 
 def test_thm11_i_mc_matches_exact():
@@ -130,6 +132,8 @@ def test_contraction_weight_validation():
         check_contraction([[1.0], [1.0]], [0.5, -1.2], sp)
     with pytest.raises(ConfigurationError, match="length"):
         check_contraction([[1.0], [1.0]], [0.5], sp)
+    with pytest.raises(ConfigurationError, match="R >= 100"):
+        check_contraction([[1.0], [1.0]], [0.5, -0.5], sp, mode="mc", R=50, key=KEY)
 
 
 def test_contraction_mc_matches_exact():
@@ -181,6 +185,8 @@ def test_thm11_ii_validation():
         check_thm11_ii(rademacher(), fp, n=4)
     with pytest.raises(ConfigurationError, match="n must lie"):
         check_thm11_ii(rademacher(), fp, n=9, R=1000, key=KEY)
+    with pytest.raises(ConfigurationError, match="R >= 100"):
+        check_thm11_ii(rademacher(), fp, n=4, R=50, key=KEY)
     bad = build_function_pair(NormingPair(a=[1.0, 4.0], b=[2.0, 3.0]))
     with pytest.raises(ConfigurationError, match="nondecreasing"):
         check_thm11_ii(rademacher(), bad, n=2, R=1000, key=KEY)
