@@ -167,6 +167,11 @@ def _dist_from(cfg: dict, space: SpaceSpec, parent: str, key="distribution") -> 
     elif kind == "point_mass":
         kwargs["v"] = tuple(_get(dc, path, "v", [float]))
     elif kind == "shifted":
+        if "lifting" in dc:
+            raise ConfigurationError(
+                f"{path}.lifting: a shifted law takes the lifting of its base;"
+                f" set {path}.base.lifting instead"
+            )
         kwargs["shift"] = tuple(_get(dc, path, "shift", [float]))
         kwargs["base"] = _dist_from(dc, space, path, "base")
         kwargs["lifting"] = kwargs["base"].lifting

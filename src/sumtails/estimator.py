@@ -34,15 +34,25 @@ ENUMERATION_MAX_N = 20
 DEFAULT_BLOCK_SIZE = 4096
 
 
-def clopper_pearson(successes: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact two-sided binomial confidence bounds from beta quantiles."""
-    if not (0 <= successes <= n):
-        raise ConfigurationError(f"successes must lie in [0, {n}], got {successes}")
+def clopper_pearson(successes, n: int, confidence: float = 0.99):
+    """Exact two-sided binomial confidence bounds from beta quantiles.
+
+    successes is an integer or an integer array.  For an array the
+    bounds are two arrays of its shape, from one beta quantile call per
+    bound, equal entry by entry to the scalar form's floats.
+    """
+    k = np.asarray(successes)
+    bad = (k < 0) | (k > n)
+    if np.any(bad):
+        raise ConfigurationError(f"successes must lie in [0, {n}], got {k[bad][0]}")
     if not (0 < confidence < 1):
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     tail = (1.0 - confidence) / 2.0
-    low = 0.0 if successes == 0 else float(beta.ppf(tail, successes, n - successes + 1))
-    high = 1.0 if successes == n else float(beta.ppf(1.0 - tail, successes + 1, n - successes))
+    # beta.ppf gives NaN at k = 0 (low) and k = n (high), where the bounds are 0 and 1
+    low = np.where(k == 0, 0.0, beta.ppf(tail, k, n - k + 1))
+    high = np.where(k == n, 1.0, beta.ppf(1.0 - tail, k + 1, n - k))
+    if k.ndim == 0:
+        return float(low), float(high)
     return low, high
 
 

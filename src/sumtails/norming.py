@@ -87,13 +87,16 @@ def power_pair(n_max: int, exp_a: float, exp_b: float = 1.0) -> NormingPair:
 
 
 def _interp_extend(t: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # np.interp is exact at knots; past the last knot continue the final segment
+    # np.interp is exact at knots; past the last knot continue the final
+    # segment, computed only on the (usually few) entries out there
     out = np.interp(t, xs, ys)
     last = xs[-1]
     over = t > last
     if np.any(over):
         slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(over, ys[-1] + (t - last) * slope, out)
+        if out.ndim == 0:
+            return ys[-1] + (t - last) * slope
+        out[over] = ys[-1] + (t[over] - last) * slope
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError
-from .space import SpaceSpec, norm
+from .space import SpaceSpec, norm, norms
 
 __all__ = [
     "StreamKey",
@@ -227,12 +227,12 @@ def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.nd
     raise ConfigurationError(f"kind {k!r} has no scalar form")
 
 
-def _sphere_directions(rng: np.random.Generator, shape, dim: int, q: float) -> np.ndarray:
-    """Uniform directions on the unit l_q sphere in R^dim."""
-    full = tuple(shape) + (dim,)
+def _sphere_directions(rng: np.random.Generator, shape, space: SpaceSpec) -> np.ndarray:
+    """Uniform directions on the unit l_q sphere of the space."""
+    full = tuple(shape) + (space.dim,)
+    q = space.q
     if math.isinf(q):
         g = rng.uniform(-1.0, 1.0, full)
-        scale = np.max(np.abs(g), axis=-1, keepdims=True)
     else:
         # |g_i| ~ Gamma(1/q)^(1/q) with a random sign has density
         # proportional to exp(-|t|^q); normalizing lands uniformly
@@ -240,12 +240,7 @@ def _sphere_directions(rng: np.random.Generator, shape, dim: int, q: float) -> n
         mag = rng.standard_gamma(1.0 / q, full) ** (1.0 / q)
         sign = rng.integers(0, 2, full).astype(float) * 2.0 - 1.0
         g = sign * mag
-        if q == 1.0:
-            scale = np.sum(np.abs(g), axis=-1, keepdims=True)
-        elif q == 2.0:
-            scale = np.sqrt(np.sum(g * g, axis=-1, keepdims=True))
-        else:
-            scale = np.sum(np.abs(g) ** q, axis=-1, keepdims=True) ** (1.0 / q)
+    scale = norms(g, space)[..., None]
     scale[scale == 0.0] = 1.0
     return g / scale
 
@@ -267,7 +262,7 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
         return _scalar_draws(d, rng, tuple(shape) + (dim,)) * factor
     # radial
     mag = np.abs(_scalar_draws(d, rng, shape))
-    dirs = _sphere_directions(rng, shape, dim, d.space.q)
+    dirs = _sphere_directions(rng, shape, d.space)
     return mag[..., None] * dirs
 
 
@@ -294,7 +289,7 @@ def uniform_in_ball(space: SpaceSpec, radius: float, k: StreamKey, count: int) -
     if radius <= 0:
         raise ConfigurationError(f"radius must be positive, got {radius}")
     rng = k.generator()
-    dirs = _sphere_directions(rng, (count,), space.dim, space.q)
+    dirs = _sphere_directions(rng, (count,), space)
     radii = radius * rng.random(count) ** (1.0 / space.dim)
     return dirs * radii[:, None]
 

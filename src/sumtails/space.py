@@ -15,6 +15,9 @@ from .errors import ConfigurationError, DomainError
 
 __all__ = ["SpaceSpec", "norm", "norms", "vsum"]
 
+# numpy's sum adds this many terms or more pairwise, not left to right
+_PAIRWISE_TERMS = 8
+
 
 @dataclass(frozen=True)
 class SpaceSpec:
@@ -69,19 +72,43 @@ def norm(v, space: SpaceSpec) -> float:
 
 
 def norms(arr, space: SpaceSpec) -> np.ndarray:
-    """Batched l_q norms along the last axis (vectorised, no fsum)."""
+    """Batched l_q norms along the last axis (vectorised, no fsum).
+
+    For q in {1, 2, inf} the norm accumulates over the columns a[..., j],
+    j = 0, 1, ..., with in-place ufuncs instead of numpy's reduce over
+    the short last axis, which is several times slower.  Below
+    _PAIRWISE_TERMS columns that reduce adds in the same j order, so the
+    norms are bit-identical to it; from there on numpy sums pairwise,
+    and q = 1 and 2 keep the reduce.
+    """
     a = np.asarray(arr, dtype=float)
     _check_dim(a, space, "last axis")
-    if space.dim == 1:
+    dim, q = space.dim, space.q
+    if dim == 1:
         return np.abs(np.squeeze(a, axis=-1))
-    q = space.q
     if math.isinf(q):
-        return np.max(np.abs(a), axis=-1)
-    if q == 1.0:
+        step = np.maximum
+    elif q in (1.0, 2.0) and dim < _PAIRWISE_TERMS:
+        step = np.add
+    elif q == 1.0:
         return np.sum(np.abs(a), axis=-1)
-    if q == 2.0:
+    elif q == 2.0:
         return np.sqrt(np.sum(a * a, axis=-1))
-    return np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
+    else:
+        return np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
+
+    def column(j):
+        # a slice, not a[..., j], so a single vector gives an array out= can write
+        c = a[..., j : j + 1]
+        return c * c if q == 2.0 else np.abs(c)
+
+    out = column(0)
+    for j in range(1, dim):
+        step(out, column(j), out=out)
+    if q == 2.0:
+        np.sqrt(out, out=out)
+    # [()] turns a single vector's 0-d result into a scalar, as the reduce gives
+    return out[..., 0][()]
 
 
 def vsum(vectors, space: SpaceSpec) -> np.ndarray:

@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
+    clopper_pearson,
     enumerate_sign_norms,
     mc_counts,
 )
@@ -170,6 +171,18 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndar
     return cum[valid] - cum[at_most]
 
 
+def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> list[TailEstimate]:
+    """One TailEstimate per count out of reps; Monte Carlo bounds take one quantile call per side."""
+    if exact:
+        return [TailEstimate.from_counts(int(c), reps, exact=True) for c in counts]
+    counts = np.asarray(counts, dtype=np.int64)
+    low, high = clopper_pearson(counts, reps, confidence)
+    return [
+        TailEstimate(c / reps, c, reps, lo, hi)
+        for c, lo, hi in zip(counts.tolist(), low.tolist(), high.tolist())
+    ]
+
+
 def _compare(
     name, tg, factor, config, confidence, mode, R, key, block_size, threads,
     sides, exact=None, tail=None, tail_weight=0,
@@ -205,12 +218,12 @@ def _compare(
         lhs, rhs, reps = totals["lhs"], totals["rhs"], R
         if tail is not None:
             tail_term = tail(totals["extra"])
-    out = []
-    for j, t in enumerate(tg):
-        lhs_j = TailEstimate.from_counts(int(lhs[j]), reps, confidence, mode == "exact")
-        rhs_j = TailEstimate.from_counts(int(rhs[j]), reps, confidence, mode == "exact")
-        out.append(_finish_report(name, t, lhs_j, rhs_j, factor, tail_term, tail_weight, config))
-    return out
+    lhs_t = _estimates(lhs, reps, confidence, mode == "exact")
+    rhs_t = _estimates(rhs, reps, confidence, mode == "exact")
+    return [
+        _finish_report(name, t, lt, rt, factor, tail_term, tail_weight, config)
+        for t, lt, rt in zip(tg, lhs_t, rhs_t)
+    ]
 
 
 def check_thm11_i(
@@ -433,10 +446,8 @@ def check_levy(
             )
         # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
         # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
-        # the j-th coefficient of (1 + 2z + z^2)^n
-        sum_weights = np.ones(1, dtype=np.int64)
-        for _ in range(n):
-            sum_weights = np.convolve(sum_weights, np.array([1, 2, 1], dtype=np.int64))
+        # the j-th coefficient of (1 + 2z + z^2)^n = (1 + z)^(2n)
+        sum_weights = np.array([math.comb(2 * n, j) for j in range(2 * n + 1)], dtype=np.int64)
         # the maximal difference is 0 only when every difference is
         max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
         thr = tg * b_n
@@ -648,9 +659,7 @@ def _wlln(
     out = []
     for v, criterion in enumerate(criteria):
         cfg = dict(config, variant=("centered", "symmetrized")[v]) if symmetrized else config
-        estimates = tuple(
-            tuple(TailEstimate.from_counts(int(c), R, confidence) for c in row) for row in counts[v]
-        )
+        estimates = tuple(tuple(_estimates(row, R, confidence)) for row in counts[v])
         out.append(
             WllnDiagnostic(
                 config=cfg,

@@ -96,8 +96,10 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     """
     s = np.asarray(norm_values, dtype=float)
     out_norm = fp.phi(fp.psi_inverse(s))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(s > 0.0, out_norm / np.where(s > 0.0, s, 1.0), 0.0)
+    out = np.zeros(s.shape)
+    with np.errstate(invalid="ignore"):
+        np.divide(out_norm, s, out=out, where=s > 0.0)
+    return out
 
 
 def _default_space(v: np.ndarray, space: SpaceSpec | None) -> SpaceSpec:

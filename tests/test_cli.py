@@ -275,6 +275,21 @@ def test_shifted_distribution_from_config(tmp_path):
     assert cli.run(cfg, out=str(out)) == 0
 
 
+def test_lifting_on_a_shifted_law_is_rejected(tmp_path, capsys):
+    # the lifting belongs to the base law, so one on the shifted law has no meaning
+    base = {"kind": "pareto_one_sided", "alpha": 3.0, "lifting": "iid_coordinates"}
+    cfg = dict(WLLN_CFG, space={"dim": 2, "q": 2})
+    cfg["distribution"] = {"kind": "shifted", "base": base, "shift": [1.0, 0.0]}
+    assert cli.run(cfg, out=str(tmp_path / "ok")) == 0
+    cfg["distribution"] = dict(cfg["distribution"], lifting="radial")
+    p = _write_json(tmp_path / "cfg.json", cfg)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "bad")]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: distribution.lifting: a shifted law takes the lifting of its base;"
+        " set distribution.base.lifting instead"
+    )
+
+
 def test_main_validate(tmp_path, capsys):
     p = _write_json(tmp_path / "cfg.json", THM11_I_CFG)
     assert cli.main(["validate", "--config", str(p)]) == 0

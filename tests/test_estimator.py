@@ -90,6 +90,30 @@ def test_clopper_pearson_errors():
         clopper_pearson(2, 4, confidence=1.0)
 
 
+@pytest.mark.parametrize("n", [100, 4000, 16384, 10**6])
+def test_clopper_pearson_array_equals_scalar(n):
+    rng = np.random.default_rng(n)
+    k = np.concatenate(([0, 1, n - 1, n], rng.integers(0, n + 1, 300), rng.integers(0, 50, 100)))
+    low, high = clopper_pearson(k, n)
+    assert low.shape == high.shape == k.shape
+    for ki, lo, hi in zip(k.tolist(), low.tolist(), high.tolist()):
+        scalar = clopper_pearson(ki, n)
+        assert type(scalar[0]) is float and type(scalar[1]) is float
+        assert (lo, hi) == scalar
+    grid_low, grid_high = clopper_pearson(k[:300].reshape(20, 15), n, 0.95)
+    assert grid_low.shape == (20, 15)
+    assert grid_high[3, 4] == clopper_pearson(int(k[49]), n, 0.95)[1]
+
+
+def test_clopper_pearson_array_errors():
+    with pytest.raises(ConfigurationError, match=r"successes must lie in \[0, 4\], got 5"):
+        clopper_pearson(np.array([0, 4, 5, 2]), 4)
+    with pytest.raises(ConfigurationError, match=r"got -1"):
+        clopper_pearson(np.array([[0, 1], [-1, 4]]), 4)
+    with pytest.raises(ConfigurationError, match="confidence"):
+        clopper_pearson(np.array([0, 1]), 4, confidence=0.0)
+
+
 def test_tail_estimate_invariants():
     e = TailEstimate.from_counts(30, 100)
     assert e.ci_low <= e.p_hat == 0.3 <= e.ci_high

@@ -10,6 +10,7 @@ from sumtails.norming import (
     check_ratio_monotone,
     power_pair,
 )
+from sumtails.norming import _interp_extend
 
 
 def random_valid_pair(rng, n):
@@ -81,6 +82,25 @@ def test_linear_extension_past_last_knot():
     assert fp.psi(3.5) == 5.0 + 1.5 * 3.0
     assert fp.psi_inverse(9.5) == 3.5
     assert fp.phi_inverse(7.0) == 4.0
+
+
+def test_interp_extend_matches_the_full_array_continuation():
+    # the continuation, written only where t lies past the last knot, equals
+    # np.where over the whole array bit for bit at any mix of points
+    rng = np.random.default_rng(4)
+    xs = np.arange(0.0, 17.0)
+    ys = np.concatenate(([0.0], np.sqrt(np.arange(1.0, 17.0))))
+    edges = [0.0, 16.0, np.nextafter(16.0, 17.0), np.inf]
+    t = np.concatenate((rng.uniform(0, 16, 300), rng.uniform(16, 1e4, 30), edges))
+    rng.shuffle(t)
+    slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+    want = np.where(t > xs[-1], ys[-1] + (t - xs[-1]) * slope, np.interp(t, xs, ys))
+    assert np.array_equal(_interp_extend(t, xs, ys), want)
+    assert np.array_equal(_interp_extend(t.reshape(2, 167), xs, ys), want.reshape(2, 167))
+    inside = t <= xs[-1]
+    assert np.array_equal(_interp_extend(t[inside], xs, ys), want[inside])
+    for i in (np.flatnonzero(inside)[0], np.flatnonzero(~inside)[0]):
+        assert _interp_extend(np.asarray(t[i]), xs, ys) == want[i]
 
 
 def test_single_entry_pair():

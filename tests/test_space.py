@@ -87,3 +87,50 @@ def test_triangle_inequality(pairs, q):
 def test_homogeneity(v, c):
     sp = SpaceSpec(dim=3, q=2.0)
     assert norm(c * np.asarray(v), sp) == pytest.approx(abs(c) * norm(list(v), sp), rel=1e-9, abs=1e-9)
+
+
+def _reduce_norms(a, q):
+    """The norms as one numpy reduce over the last axis: the reference norms must equal bit for bit."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1] == 1:
+        return np.abs(np.squeeze(a, axis=-1))
+    if math.isinf(q):
+        return np.max(np.abs(a), axis=-1)
+    if q == 1.0:
+        return np.sum(np.abs(a), axis=-1)
+    if q == 2.0:
+        return np.sqrt(np.sum(a * a, axis=-1))
+    return np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 7, 8, 9])
+def test_norms_equal_the_reduce_bit_for_bit(dim, q):
+    # dims 8 and 9 cross to numpy's pairwise sum, which norms then keeps
+    rng = np.random.default_rng(dim)
+    sp = SpaceSpec(dim=dim, q=q)
+    for shape in [(dim,), (300, dim), (12, 25, dim)]:
+        a = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-3, 4, shape)
+        got, want = norms(a, sp), _reduce_norms(a, q)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+
+ANY_FLOAT = st.one_of(
+    st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -5e-324])
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([1.0, 2.0, 3.0, math.inf]),
+    st.integers(min_value=1, max_value=4),
+    st.data(),
+)
+def test_norms_equal_the_reduce_on_nan_inf_and_signed_zero(dim, q, rows, data):
+    a = np.array(data.draw(st.lists(ANY_FLOAT, min_size=rows * dim, max_size=rows * dim)))
+    a = a.reshape(rows, dim)
+    sp = SpaceSpec(dim=dim, q=q)
+    with np.errstate(all="ignore"):
+        for arr in (a, a[0]):
+            assert np.array_equal(norms(arr, sp), _reduce_norms(arr, q), equal_nan=True)

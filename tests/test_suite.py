@@ -31,7 +31,8 @@ from sumtails.suite import (
     cross_check_symmetrization,
     run_wlln,
 )
-from sumtails.suite import _classify, _counts_per_threshold
+from sumtails import suite
+from sumtails.suite import _classify, _counts_per_threshold, _finish_report
 
 KEY = StreamKey(31415)
 
@@ -291,6 +292,80 @@ def test_levy_validation():
         check_levy(rademacher(), n=2)
     with pytest.raises(ConfigurationError, match="R >= 100"):
         check_levy(rademacher(), n=2, R=50, key=KEY)
+
+
+# ------------------------------------------------------------ verdict layer
+
+
+def test_contraction_is_sharp_at_a_known_answer():
+    # x = (1, 1) in dim 1 with alpha = (1, 0): lhs P(|e_1| > t) = 1 and rhs
+    # P(|e_1 + e_2| > t) = 1/2 for t < 1, so the bound 2 * 1/2 is met exactly
+    reports = check_contraction([[1.0], [1.0]], [1.0, 0.0], SpaceSpec(1, 2), t_grid=[0.0, 0.5, 0.99])
+    for r in reports:
+        assert (r.lhs.p_hat, r.rhs.p_hat, r.rhs_bound) == (1.0, 0.5, 1.0)
+        assert r.slack == 0.0
+        assert r.verdict == "holds"
+        assert r.sigma_margin == math.inf
+
+
+def test_levy_with_factor_one_is_violated(monkeypatch):
+    # at n = 2, for t * b_n < 2, lhs is 3/4 and rhs 5/8: the bound fails without its factor 2
+    compare = suite._compare
+
+    def factor_one(name, tg, factor, *args, **kwargs):
+        return compare(name, tg, 1.0, *args, **kwargs)
+
+    monkeypatch.setattr(suite, "_compare", factor_one)
+    exact = check_levy(rademacher(), n=2, t_grid=[0.5, 1.5], mode="exact")
+    assert [(r.lhs.p_hat, r.rhs.p_hat) for r in exact] == [(0.75, 0.625)] * 2
+    mc = check_levy(rademacher(), n=2, t_grid=[0.5, 1.5], R=10**4, key=KEY)
+    for r in exact + mc:
+        assert r.factor == 1.0
+        assert r.verdict == "violated"
+        assert r.sigma_margin < 0
+
+
+def test_finish_report_verdict_boundaries():
+    # every number is a binary fraction, so each boundary is met exactly
+    rhs = _est(0.0625, 0.125, 0.25)
+    tail = _est(0.03125, 0.0625, 0.125)
+    cases = [
+        # (tail term, bound, upper limit of the bound), factor 2, tail weight 2
+        (None, 2 * 0.125, 2 * 0.25),
+        (tail, 2 * 0.125 + 2 * 0.0625, 2 * 0.25 + 2 * 0.125),
+    ]
+    for tail_term, bound, bound_hi in cases:
+        def verdict(low, p, high):
+            return _finish_report("x", 0.5, _est(low, p, high), rhs, 2.0, tail_term, 2, {}).verdict
+
+        r = _finish_report("x", 0.5, _est(bound_hi, bound_hi, 1.0), rhs, 2.0, tail_term, 2, {})
+        assert (r.rhs_bound, r.rhs_bound_ci_high) == (bound, bound_hi)
+        assert r.verdict == "inconclusive"
+        assert verdict(np.nextafter(bound_hi, 1.0), 0.9, 1.0) == "violated"
+        assert verdict(0.0, 0.0, bound) == "holds"
+        assert verdict(0.0, 0.0, np.nextafter(bound, 1.0)) == "inconclusive"
+
+
+def test_finish_report_sigma_margin():
+    # _est has one replication, so each std_error is sqrt(p (1 - p))
+    lhs = _est(0.125, 0.25, 0.375)
+    rhs = _est(0.375, 0.5, 0.625)
+    se2_lhs, se2_rhs = 0.25 * 0.75, 0.5 * 0.5
+    r = _finish_report("x", 0.5, lhs, rhs, 2.0, None, 0, {})
+    assert r.slack == 0.75
+    assert r.sigma_margin == pytest.approx(0.75 / math.sqrt(se2_lhs + 4 * se2_rhs), rel=1e-12)
+    tail = _est(0.0625, 0.125, 0.25)
+    r = _finish_report("x", 0.5, lhs, rhs, 2.0, tail, 3, {})
+    assert (r.rhs_bound, r.rhs_bound_ci_high) == (1.0 + 3 * 0.125, 2 * 0.625 + 3 * 0.25)
+    se2_tail = 0.125 * 0.875
+    assert r.sigma_margin == pytest.approx(
+        1.125 / math.sqrt(se2_lhs + 4 * se2_rhs + 9 * se2_tail), rel=1e-12
+    )
+    # no standard error at all: the margin is infinite, signed by the slack
+    known = TailEstimate.known
+    assert _finish_report("x", 0.5, known(0.25), known(0.5), 1.0, None, 0, {}).sigma_margin == math.inf
+    r = _finish_report("x", 0.5, known(0.75), known(0.5), 1.0, known(0.125), 1, {})
+    assert (r.slack, r.sigma_margin, r.verdict) == (-0.125, -math.inf, "violated")
 
 
 # ------------------------------------------------------- threshold counting
