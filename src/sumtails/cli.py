@@ -246,7 +246,7 @@ def _weights_from(cfg: dict, n: int, key: StreamKey, parent: str) -> np.ndarray:
         return w
     if _get(cfg, parent, "weights", dict).get("random") is not True:
         raise ConfigurationError(f'{path}: expected an array or {{"random": true}}')
-    rng = key.substream(STREAM_VECTORS).replication(1).generator()
+    rng = key.substream(STREAM_VECTORS).child(1).generator()
     return rng.uniform(-1.0, 1.0, n)
 
 
@@ -276,9 +276,8 @@ def _report_row(index: int, rpt) -> dict:
     }
 
 
-def _run_inequality(cfg: dict, index: int, seed: int, threads: int, confidence: float, parent: str):
+def _run_inequality(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
     experiment = cfg["experiment"]
-    key = StreamKey(master_seed=(seed + index) % 2**64)
     space = _space_from(cfg, parent)
     kwargs = {
         "t_grid": _grid_from(cfg, parent, "t_grid"),
@@ -329,7 +328,7 @@ def _run_inequality(cfg: dict, index: int, seed: int, threads: int, confidence: 
     return rows, summary, any(r.verdict == "violated" for r in reports)
 
 
-def _run_wlln_config(cfg: dict, index: int, seed: int, threads: int, confidence: float, parent: str):
+def _run_wlln_config(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
     space = _space_from(cfg, parent)
     diag = run_wlln(
         _dist_from(cfg, space, parent),
@@ -337,7 +336,7 @@ def _run_wlln_config(cfg: dict, index: int, seed: int, threads: int, confidence:
         n_grid=_get(cfg, parent, "n_grid", [int], None),
         lambda_grid=_grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
         R=_get(cfg, parent, "R", int),
-        key=StreamKey(master_seed=(seed + index) % 2**64),
+        key=key,
         confidence=confidence,
         block_size=_get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
         threads=threads,
@@ -446,15 +445,19 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         summaries = [summary]
     else:
         # a single config runs as a sweep of one: config index 0, key
-        # seed + 0, and key paths without a configs[i] prefix
+        # StreamKey(seed), and key paths without a configs[i] prefix.
+        # Config i >= 1 gets the root key hashed from (seed, i), whose
+        # streams miss config 0's replication-indexed ones (e.g. its
+        # random weights at replication 1 of the vector substream).
         runner, columns = _run_inequality, INEQ_COLUMNS
         if experiment == "wlln":
             runner, columns = _run_wlln_config, WLLN_COLUMNS
         sweep = experiment == "sweep"
         rows, summaries, violated = [], [], False
         for i, sub in enumerate(cfg["configs"] if sweep else [cfg]):
+            key = StreamKey(cfg["seed"] % 2**64, i).child(0)
             sub_rows, sub_summary, sub_violated = runner(
-                sub, i, cfg["seed"], threads_v, conf_v, f"configs[{i}]" if sweep else ""
+                sub, i, key, threads_v, conf_v, f"configs[{i}]" if sweep else ""
             )
             rows.extend(sub_rows)
             summaries.append(sub_summary)

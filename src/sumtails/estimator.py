@@ -168,7 +168,7 @@ def mc_counts(
 
     block_fn(rng, m) evaluates m replications and returns a dict of
     integer arrays; the dicts are summed over blocks.  Block i draws
-    from key.replication(i), so the totals are invariant under the
+    from key.child(i), so the totals are invariant under the
     thread count and the block execution order.  Blocks run on up to
     `threads` worker threads, never more than there are blocks or
     usable CPUs; with one worker they run serially in the caller.
@@ -181,7 +181,7 @@ def mc_counts(
 
     def run_block(args):
         i, m = args
-        rng = key.replication(i).generator()
+        rng = key.child(i).generator()
         return block_fn(rng, m)
 
     workers = _worker_count(threads, len(blocks), _usable_cpus())

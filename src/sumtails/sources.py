@@ -9,7 +9,9 @@ reproduce bit for bit.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +78,25 @@ class StreamKey:
 
     def replication(self, i: int) -> "StreamKey":
         return replace(self, replication_index=i)
+
+    def child(self, i: int) -> "StreamKey":
+        """The i-th child stream of this key.
+
+        Under a parent with replication index 0 this is replication(i),
+        so top-level keys keep their streams.  Any other parent hashes
+        (master_seed, replication_index, draw_counter, i) into a fresh
+        64-bit master seed, keeping the draw counter, with replication
+        index 0.  Parents that differ only in their replication index
+        therefore have different children; only a 64-bit hash collision
+        could make two children coincide.
+        """
+        if self.replication_index == 0:
+            return self.replication(i)
+        if not (0 <= i < _MAX_REPLICATION):
+            raise ConfigurationError(f"child index out of range: {i}")
+        words = struct.pack("<4Q", self.master_seed, self.replication_index, self.draw_counter, i)
+        seed = int.from_bytes(hashlib.blake2b(words, digest_size=8).digest(), "little")
+        return StreamKey(seed, 0, self.draw_counter)
 
     def substream(self, c: int) -> "StreamKey":
         return replace(self, draw_counter=c)
@@ -168,6 +189,14 @@ def rademacher(space: SpaceSpec | None = None, lifting: str = "scalar") -> Distr
 
 
 def pareto_symmetric(alpha: float, space: SpaceSpec | None = None, lifting: str = "scalar") -> DistributionSpec:
+    """P(X > t) = P(X < -t) = t**-alpha / 2 for t >= 1.
+
+    Each draw spends one 53-bit uniform u on both its sign and its
+    magnitude (1 - v)**(-1/alpha), with v uniform on a 2**-52 grid, so
+    the largest magnitude is 2**(52/alpha).  It is finite for alpha >
+    52/1024, about 0.0508; below that a draw is +-inf with probability
+    about 2**(-1024 * alpha).
+    """
     return DistributionSpec(kind="pareto_symmetric", space=space or _scalar_space(), lifting=lifting, alpha=alpha)
 
 
@@ -207,19 +236,35 @@ def _stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
     return out
 
 
+def _random_signs(rng: np.random.Generator, shape) -> np.ndarray:
+    """Independent fair +-1.0 floats, one raw random bit each."""
+    n = math.prod(shape)
+    bits = np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
+    return (bits * 2.0 - 1.0).reshape(shape)
+
+
+def _pareto_tail(alpha: float, u: np.ndarray) -> np.ndarray:
+    """(1 - u)**(-1/alpha), in place: support [1, inf), P(X > t) = t**-alpha for uniform u."""
+    np.subtract(1.0, u, out=u)
+    u **= -1.0 / alpha
+    return u
+
+
 def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
     k = d.kind
     if k == "rademacher":
-        return rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0
+        return _random_signs(rng, shape)
     if k == "pareto_one_sided":
-        # support [1, inf), P(X > t) = t**-alpha
-        u = rng.random(shape)
-        return (1.0 - u) ** (-1.0 / d.alpha)
+        return _pareto_tail(d.alpha, rng.random(shape))
     if k == "pareto_symmetric":
+        # the top bit of u is the sign; v = 2u - [u >= 1/2] is the rest
+        # of u, exactly, and uniform on a 2**-52 grid independent of it
         u = rng.random(shape)
-        mag = (1.0 - u) ** (-1.0 / d.alpha)
-        sign = rng.integers(0, 2, shape).astype(float) * 2.0 - 1.0
-        return sign * mag
+        upper = u >= 0.5
+        u *= 2.0
+        u -= upper
+        x = _pareto_tail(d.alpha, u)
+        return np.negative(x, out=x, where=~upper)
     if k == "stable_symmetric":
         return _stable_draws(d.alpha, rng, shape)
     if k == "uniform_ball":
@@ -228,18 +273,23 @@ def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.nd
 
 
 def _sphere_directions(rng: np.random.Generator, shape, space: SpaceSpec) -> np.ndarray:
-    """Uniform directions on the unit l_q sphere of the space."""
+    """Uniform directions on the unit l_q sphere of the space.
+
+    Coordinates with density proportional to exp(-|t|^q), normalized,
+    land uniformly on the sphere: standard normals for q = 2 (Muller,
+    CACM 1959), signed standard exponentials for q = 1, signed
+    Gamma(1/q)^(1/q) otherwise; the cube's uniform law for q = inf.
+    """
     full = tuple(shape) + (space.dim,)
     q = space.q
     if math.isinf(q):
         g = rng.uniform(-1.0, 1.0, full)
+    elif q == 2.0:
+        g = rng.standard_normal(full)
+    elif q == 1.0:
+        g = rng.standard_exponential(full) * _random_signs(rng, full)
     else:
-        # |g_i| ~ Gamma(1/q)^(1/q) with a random sign has density
-        # proportional to exp(-|t|^q); normalizing lands uniformly
-        # on the sphere
-        mag = rng.standard_gamma(1.0 / q, full) ** (1.0 / q)
-        sign = rng.integers(0, 2, full).astype(float) * 2.0 - 1.0
-        g = sign * mag
+        g = rng.standard_gamma(1.0 / q, full) ** (1.0 / q) * _random_signs(rng, full)
     scale = norms(g, space)[..., None]
     scale[scale == 0.0] = 1.0
     return g / scale
@@ -258,10 +308,16 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
         return _scalar_draws(d, rng, shape)[..., None]
     if d.lifting == "iid_coordinates":
         q = d.space.q
+        x = _scalar_draws(d, rng, tuple(shape) + (dim,))
         factor = 1.0 if math.isinf(q) else dim ** (-1.0 / q)
-        return _scalar_draws(d, rng, tuple(shape) + (dim,)) * factor
-    # radial
-    mag = np.abs(_scalar_draws(d, rng, shape))
+        return x if factor == 1.0 else x * factor
+    # radial: |X| itself, then a direction
+    if d.kind == "rademacher":
+        mag = np.ones(shape)
+    elif d.kind in ("pareto_symmetric", "pareto_one_sided"):
+        mag = _pareto_tail(d.alpha, rng.random(shape))
+    else:
+        mag = np.abs(_scalar_draws(d, rng, shape))
     dirs = _sphere_directions(rng, shape, d.space)
     return mag[..., None] * dirs
 

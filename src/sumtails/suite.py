@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
@@ -31,6 +31,7 @@ from .sources import (
     STREAM_CRITERION_SYMM,
     DistributionSpec,
     StreamKey,
+    _random_signs,
     draw,
     is_symmetric,
     tail_prob,
@@ -171,6 +172,20 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndar
     return cum[valid] - cum[at_most]
 
 
+def _nan_count(*stats) -> int:
+    return sum(np.count_nonzero(np.isnan(s)) for s in stats)
+
+
+def _refuse_nan(nan_total: int, statistics: int, name: str) -> None:
+    """A NaN statistic is no event, so a count that skips it would be wrong."""
+    if nan_total:
+        raise DomainError(
+            f"{name}: {nan_total} of {statistics} Monte Carlo statistics are NaN,"
+            " from float64 overflow (e.g. inf - inf in a sum); the law's parameters"
+            " are out of range for these sample sizes"
+        )
+
+
 def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> list[TailEstimate]:
     """One TailEstimate per count out of reps; Monte Carlo bounds take one quantile call per side."""
     if exact:
@@ -212,9 +227,11 @@ def _compare(
                 "lhs": _counts_per_threshold(s_l, tg),
                 "rhs": _counts_per_threshold(s_r, tg),
                 "extra": np.array(extra, dtype=np.int64),
+                "nan": _nan_count(s_l, s_r),
             }
 
         totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
+        _refuse_nan(int(totals["nan"]), 2 * R, name)
         lhs, rhs, reps = totals["lhs"], totals["rhs"], R
         if tail is not None:
             tail_term = tail(totals["extra"])
@@ -275,7 +292,7 @@ def check_thm11_i(
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
-        signs = rng.integers(0, 2, (m, n)).astype(float) * 2.0 - 1.0
+        signs = _random_signs(rng, (m, n))
         return norms(signs @ xa, space) / b_n, norms(signs @ t_vec, space) / a_n
 
     return _compare(
@@ -314,7 +331,7 @@ def check_contraction(
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
-        signs = rng.integers(0, 2, (m, n)).astype(float) * 2.0 - 1.0
+        signs = _random_signs(rng, (m, n))
         return norms(signs @ (w[:, None] * xa), space), norms(signs @ xa, space)
 
     return _compare(
@@ -566,6 +583,7 @@ def _criterion_points(
         if symmetrized:
             x = x - draw(d, rng, criterion_R)
         nv = norms(x, d.space)
+        _refuse_nan(_nan_count(nv), criterion_R, "criterion sequence")
     points = []
     for n, a_val in zip(n_grid, analytic_vals):
         if a_val is not None:
@@ -598,8 +616,8 @@ def _wlln(
     budget among the running sums.  These two rules fix which draw
     lands in which replication; changing either changes the results.
     """
+    caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
     if key is None:
-        caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
         raise ConfigurationError(f"{caller} needs a StreamKey")
     if R < 100:
         raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
@@ -618,7 +636,7 @@ def _wlln(
         mode = gamma_mode
         if gamma_mode == "auto":
             mode = "analytic" if truncated_mean(d, b_n) is not None else "monte_carlo"
-        gammas.append(gamma_n(d, b_n, n, mode=mode, R=gamma_R, key=key.replication(n)))
+        gammas.append(gamma_n(d, b_n, n, mode=mode, R=gamma_R, key=key.child(n)))
     criteria = [_criterion_points(d, pair, grid, key, criterion_R, confidence)]
     if symmetrized:
         criteria.append(
@@ -630,6 +648,7 @@ def _wlln(
         # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
         sums = np.zeros((k, m, dim))
         counts = np.zeros((k, len(grid), lam.size), dtype=np.int64)
+        nan = 0
         chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
         prev = 0
         for gi, n in enumerate(grid):
@@ -643,11 +662,15 @@ def _wlln(
             if symmetrized:
                 diffs.append(sums[0] - sums[1])
             for v, diff in enumerate(diffs):
-                counts[v, gi] = _counts_per_threshold(norms(diff, space) / b_at[gi], lam)
+                stat = norms(diff, space) / b_at[gi]
+                counts[v, gi] = _counts_per_threshold(stat, lam)
+                nan += _nan_count(stat)
             prev = n
-        return {"counts": counts}
+        return {"counts": counts, "nan": nan}
 
-    counts = mc_counts(block, R, key, block_size=block_size, threads=threads)["counts"]
+    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
+    _refuse_nan(int(totals["nan"]), k * len(grid) * R, caller)
+    counts = totals["counts"]
     config = {
         "kind": d.kind,
         "lifting": d.lifting,

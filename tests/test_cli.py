@@ -209,6 +209,27 @@ def test_sweep(tmp_path):
     assert len(summary["configs"]) == 2
 
 
+def test_sweep_config_keys(tmp_path):
+    # config 0 replays a single run at the sweep's seed; config i >= 1 has
+    # its own key, not the single run's at seed + i
+    single = {k: v for k, v in LEVY_CFG.items() if k not in ("schema_version", "seed")}
+    sweep = {"schema_version": 1, "experiment": "sweep", "seed": 3, "configs": [single, single]}
+    assert cli.run(sweep, out=str(tmp_path / "sw")) == 0
+    rows = _read_csv(tmp_path / "sw" / "results.csv")
+    idx = rows[0].index("config_index")
+
+    def without_index(rs):
+        return [r[:idx] + r[idx + 1 :] for r in rs]
+
+    by_config = [without_index(r for r in rows[1:] if r[idx] == str(i)) for i in (0, 1)]
+    alone = []
+    for seed in (3, 4):
+        cli.run(LEVY_CFG, seed=seed, out=str(tmp_path / f"s{seed}"))
+        alone.append(without_index(_read_csv(tmp_path / f"s{seed}" / "results.csv")[1:]))
+    assert by_config[0] == alone[0]
+    assert by_config[1] != alone[1] and by_config[1] != by_config[0]
+
+
 def test_random_vectors_respect_cap(tmp_path):
     out = tmp_path / "rv"
     cfg = dict(THM11_I_CFG)

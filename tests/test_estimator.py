@@ -256,6 +256,21 @@ def test_mc_counts_partition_is_by_replication_index():
     assert int(totals["first_bits"][0]) == expect
 
 
+def test_mc_counts_blocks_of_a_replication_key_draw_from_its_children():
+    # under a parent with a nonzero replication index, block i draws from
+    # key.child(i), so distinct replications give distinct totals
+    def block_fn(rng, m):
+        return {"first_bits": np.array([int(rng.random() * 2**30)])}
+
+    totals = {}
+    for r in (1, 2):
+        parent = KEY.replication(r)
+        totals[r] = int(mc_counts(block_fn, 2 * DEFAULT_BLOCK_SIZE, parent)["first_bits"][0])
+        expect = sum(int(parent.child(i).generator().random() * 2**30) for i in range(2))
+        assert totals[r] == expect
+    assert totals[1] != totals[2]
+
+
 def test_worker_count_is_bounded_by_blocks_and_cpus():
     assert _worker_count(1, 10, 8) == 1
     assert _worker_count(4, 10, 8) == 4

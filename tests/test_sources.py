@@ -24,6 +24,7 @@ from sumtails.sources import (
     uniform_ball,
     uniform_in_ball,
 )
+from sumtails.sources import _random_signs
 from sumtails.space import SpaceSpec, norm, norms
 
 KEY = StreamKey(20260815)
@@ -69,6 +70,101 @@ def test_key_packing_convention():
 
 def test_addressing_is_order_independent():
     assert KEY.replication(7).substream(3) == KEY.substream(3).replication(7)
+
+
+def test_child_of_a_replication_zero_key_is_that_replication():
+    assert KEY.child(5) == KEY.replication(5)
+    assert KEY.substream(3).child(5) == StreamKey(KEY.master_seed, 5, 3)
+    assert KEY.child(0) == KEY
+
+
+def test_children_of_distinct_parents_are_distinct():
+    parents = [KEY, KEY.replication(1), KEY.replication(2), KEY.replication(1).substream(3)]
+    children = [p.child(i) for p in parents for i in range(50)]
+    assert len(set(children)) == len(children)
+    # a nonzero parent's children are fresh replication-0 roots on its counter
+    c = KEY.replication(1).substream(3).child(7)
+    assert (c.replication_index, c.draw_counter) == (0, 3)
+    assert c == KEY.replication(1).substream(3).child(7)
+    with pytest.raises(ConfigurationError):
+        KEY.replication(1).child(2**48)
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (9,), (3, 5), (2, 3, 11)])
+def test_random_signs_shape_and_values(shape):
+    x = _random_signs(KEY.generator(), shape)
+    assert x.shape == shape and x.dtype == np.float64
+    assert np.all((x == 1.0) | (x == -1.0))
+
+
+def test_random_signs_are_fair():
+    x = _random_signs(KEY.replication(3).generator(), (1000, 1001))
+    plus = int(np.count_nonzero(x > 0))
+    assert stats.binomtest(plus, x.size).pvalue > 1e-3
+    # neighbouring bits of one byte are independent
+    agree = int(np.count_nonzero(x[:, 1:] == x[:, :-1]))
+    assert stats.binomtest(agree, 1000 * 1000).pvalue > 1e-3
+
+
+class _FixedUniforms:
+    """A stand-in generator whose random() returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        return self.u.reshape(shape).copy()
+
+
+def test_pareto_symmetric_from_one_uniform():
+    # the top bit of u is the sign, the other 52 the magnitude's uniform
+    half_ulp = 2.0**-53
+    u = [0.0, 0.5, 0.75, 0.25, 0.5 - half_ulp, 1.0 - half_ulp]
+    for alpha, expect in (
+        (1.0, [-1.0, 1.0, 2.0, -2.0, -(2.0**52), 2.0**52]),
+        (2.0, [-1.0, 1.0, 2.0**0.5, -(2.0**0.5), -(2.0**26), 2.0**26]),
+    ):
+        x = draw(pareto_symmetric(alpha), _FixedUniforms(u), len(u))[:, 0]
+        assert x.tolist() == expect
+
+
+def test_pareto_symmetric_tails_on_each_side():
+    # P(X > t) = P(X < -t) = t**-alpha / 2 for t >= 1
+    alpha = 1.3
+    x = sample(pareto_symmetric(alpha), KEY.replication(50), 200_000)[:, 0]
+    assert stats.binomtest(int(np.count_nonzero(x > 0)), x.size).pvalue > 1e-3
+    for side in (x[x > 0], -x[x < 0]):
+        res = stats.kstest(side, lambda t: np.where(t < 1, 0.0, 1.0 - t**-alpha))
+        assert res.pvalue > 1e-3, res
+
+
+def _directions(dim, q, key, count=100_000):
+    # a radial random sign has norm 1, so its draws are the directions themselves
+    return sample(rademacher(SpaceSpec(dim, q), lifting="radial"), key, count)
+
+
+def test_l2_directions_have_uniform_coordinates():
+    # Archimedes: each coordinate of a uniform point on the 2-sphere is Uniform[-1, 1]
+    x = _directions(3, 2.0, KEY.replication(60))
+    assert norms(x, SpaceSpec(3, 2.0)) == pytest.approx(np.ones(len(x)), rel=1e-14)
+    for j in range(3):
+        res = stats.kstest(x[:, j], stats.uniform(loc=-1.0, scale=2.0).cdf)
+        assert res.pvalue > 1e-3, (j, res)
+
+
+def test_l1_directions_in_dim_2():
+    # |x_1| = E_1 / (E_1 + E_2) is Uniform[0, 1], and the sign is fair
+    x = _directions(2, 1.0, KEY.replication(61))
+    res = stats.kstest(np.abs(x[:, 0]), stats.uniform.cdf)
+    assert res.pvalue > 1e-3, res
+    assert stats.binomtest(int(np.count_nonzero(x[:, 0] > 0)), len(x)).pvalue > 1e-3
+
+
+def test_linf_directions_in_dim_2():
+    # the smaller coordinate over the larger of two uniforms is Uniform[0, 1]
+    x = _directions(2, math.inf, KEY.replication(62))
+    res = stats.kstest(np.min(np.abs(x), axis=1), stats.uniform.cdf)
+    assert res.pvalue > 1e-3, res
 
 
 def test_spec_validation():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumtails.errors import ConfigurationError
+from sumtails.errors import ConfigurationError, DomainError
 from sumtails.estimator import TailEstimate
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
@@ -174,6 +174,26 @@ def test_thm11_ii_empirical_tail_term():
     assert 0.0 <= tt.p_hat < 0.01
 
 
+def test_thm11_ii_refuses_nan_statistics():
+    # about 3 % of pareto(0.005) draws overflow to +-inf, so some sums are
+    # inf - inf = NaN; counted as non-events they made the t = 0 tails read
+    # 0.968 and 0.6275 where both are 1
+    with pytest.raises(DomainError, match=r"thm11_ii: \d+ of 4000 Monte Carlo statistics are NaN"):
+        check_thm11_ii(pareto_symmetric(0.005), SQRT_PAIR, n=16, R=2000, key=KEY)
+
+
+def test_wlln_refuses_nan_statistics():
+    pair = power_pair(16, 1.0, 1.0)
+    kw = dict(n_grid=[4, 16], R=500, key=KEY)
+    with pytest.raises(DomainError, match=r"run_wlln: \d+ of 1000 Monte Carlo statistics are NaN"):
+        run_wlln(pareto_symmetric(0.005), pair, **kw)
+    with pytest.raises(DomainError, match=r"cross_check_symmetrization: \d+ of 2000 "):
+        cross_check_symmetrization(pareto_symmetric(0.005), pair, criterion_R=1, **kw)
+    # the symmetrized criterion sequence samples ||X - X'||, which overflows too
+    with pytest.raises(DomainError, match=r"criterion sequence: \d+ of 1000 Monte Carlo"):
+        cross_check_symmetrization(pareto_symmetric(0.005), pair, criterion_R=1000, **kw)
+
+
 def test_thm11_ii_requires_symmetry():
     fp = build_function_pair(power_pair(8, 0.5, 1.0))
     with pytest.raises(ConfigurationError, match="symmetric"):
@@ -272,6 +292,15 @@ def test_levy_mc_matches_exact():
         assert m.lhs.ci_low <= e.lhs.p_hat <= m.lhs.ci_high
         assert m.rhs.ci_low <= e.rhs.p_hat <= m.rhs.ci_high
         assert m.verdict != "violated"
+
+
+def test_levy_keys_differing_only_in_replication_differ():
+    # each block's key mixes in the caller's replication index
+    totals = []
+    for i in (1, 2):
+        reports = check_levy(stable_symmetric(1.0), 4, R=1000, key=KEY.replication(i))
+        totals.append(sum(r.lhs.successes + r.rhs.successes for r in reports))
+    assert totals[0] != totals[1]
 
 
 def test_levy_point_mass_degenerate():

@@ -87,6 +87,18 @@ def test_rescale_factors_basics():
     assert rescale_factors(np.array([20.0]), SQRT_PAIR)[0] == pytest.approx(ext / 20.0, rel=1e-14)
 
 
+def test_rescale_factors_at_infinity_take_the_limit():
+    # an overflowed norm keeps the continuation's limiting ratio s_a / s_b
+    a, b = SQRT_PAIR.a_grid, SQRT_PAIR.b_grid
+    ratio = (a[-1] - a[-2]) / (b[-1] - b[-2])
+    f = rescale_factors(np.array([math.inf, 4.0, 1e300]), SQRT_PAIR)
+    assert f[0] == ratio and f[1] == 0.5
+    assert f[2] == pytest.approx(ratio, rel=1e-12)
+    space = SpaceSpec(2, 2)
+    v = np.array([[math.inf, 1.0]])
+    assert np.isposinf(norms(v * rescale_factors(norms(v, space), SQRT_PAIR)[:, None], space)[0])
+
+
 def test_rescale_batch_matches_scalar():
     space = SpaceSpec(2, 1)
     c = TransformContext(function_pair=SQRT_PAIR, space=space, n=3)
