@@ -86,6 +86,11 @@ def power_pair(n_max: int, exp_a: float, exp_b: float = 1.0) -> NormingPair:
     return NormingPair(a=n**exp_a, b=n**exp_b)
 
 
+def _last_slope(xs: np.ndarray, ys: np.ndarray) -> float:
+    """The slope of the final segment, which the continuation keeps past the last knot."""
+    return (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+
+
 def _interp_extend(t: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     # np.interp is exact at knots; past the last knot continue the final
     # segment, computed only on the (usually few) entries out there
@@ -93,7 +98,7 @@ def _interp_extend(t: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     last = xs[-1]
     over = t > last
     if np.any(over):
-        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        slope = _last_slope(xs, ys)
         if out.ndim == 0:
             return ys[-1] + (t - last) * slope
         out[over] = ys[-1] + (t[over] - last) * slope
@@ -138,6 +143,11 @@ class FunctionPair:
 
     def psi_inverse(self, s):
         return self._eval_inverse(s, self.b_grid, "psi_inverse")
+
+    @property
+    def slope_ratio(self) -> float:
+        """phi's slope over psi's past the last knot, the limit of phi(psi_inverse(s)) / s."""
+        return float(_last_slope(self.knots, self.a_grid) / _last_slope(self.knots, self.b_grid))
 
     def ratio(self, t):
         """psi(t) / phi(t), with the limit value b_1 / a_1 at t = 0."""

@@ -313,13 +313,13 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
         return x if factor == 1.0 else x * factor
     # radial: |X| itself, then a direction
     if d.kind == "rademacher":
-        mag = np.ones(shape)
-    elif d.kind in ("pareto_symmetric", "pareto_one_sided"):
+        return _sphere_directions(rng, shape, d.space)
+    if d.kind == "pareto_symmetric":
+        # the one-sided magnitude, so no sign is drawn only to be dropped
         mag = _pareto_tail(d.alpha, rng.random(shape))
     else:
         mag = np.abs(_scalar_draws(d, rng, shape))
-    dirs = _sphere_directions(rng, shape, d.space)
-    return mag[..., None] * dirs
+    return mag[..., None] * _sphere_directions(rng, shape, d.space)
 
 
 def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:

@@ -151,12 +151,13 @@ def _t_grid(t_grid, default_stop: float) -> np.ndarray:
     return _as_grid(t_grid, "t_grid")
 
 
-def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndarray:
-    """How many entries of stat exceed each threshold, or their total integer weight.
+def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> tuple[np.ndarray, int]:
+    """How many entries of stat exceed each threshold (or their total weight), and how many are NaN.
 
     Counts exactly what the strict stat > t of every event in this
-    package counts: ties do not exceed and NaN never does.  stat is
-    sorted once and each threshold found by binary search.
+    package counts: ties do not exceed and NaN never does, which is why
+    the NaN count comes back too.  stat is sorted once and each
+    threshold found by binary search.
     """
     if weights is None:
         ordered = np.sort(stat)
@@ -167,13 +168,10 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> np.ndar
     # NaN sorts last; the entries before the first NaN are the comparable ones
     valid = int(np.searchsorted(ordered, np.nan))
     at_most = np.searchsorted(ordered[:valid], thresholds, side="right")
+    nan = stat.size - valid
     if weights is None:
-        return valid - at_most
-    return cum[valid] - cum[at_most]
-
-
-def _nan_count(*stats) -> int:
-    return sum(np.count_nonzero(np.isnan(s)) for s in stats)
+        return valid - at_most, nan
+    return cum[valid] - cum[at_most], nan
 
 
 def _refuse_nan(nan_total: int, statistics: int, name: str) -> None:
@@ -223,12 +221,10 @@ def _compare(
 
         def block(rng, m):
             s_l, s_r, *extra = sides(rng, m)
-            return {
-                "lhs": _counts_per_threshold(s_l, tg),
-                "rhs": _counts_per_threshold(s_r, tg),
-                "extra": np.array(extra, dtype=np.int64),
-                "nan": _nan_count(s_l, s_r),
-            }
+            lhs, nan_l = _counts_per_threshold(s_l, tg)
+            rhs, nan_r = _counts_per_threshold(s_r, tg)
+            extra = np.array(extra, dtype=np.int64)
+            return {"lhs": lhs, "rhs": rhs, "extra": extra, "nan": nan_l + nan_r}
 
         totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
         _refuse_nan(int(totals["nan"]), 2 * R, name)
@@ -287,8 +283,8 @@ def check_thm11_i(
     }
 
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
-        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
+        lhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
+        rhs, _ = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
@@ -326,8 +322,8 @@ def check_contraction(
     config = {"n": n, "dim": space.dim, "q": space.q, "mode": mode}
 
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
-        rhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
+        lhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
+        rhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
@@ -339,16 +335,16 @@ def check_contraction(
     )
 
 
-def _require_extension_safe(pair: NormingPair) -> None:
-    """The linear continuation must keep b/a nondecreasing too."""
+def _require_extension_safe(fp: FunctionPair) -> None:
+    """The linear continuation must keep b/a nondecreasing too.
+
+    Past N, psi / phi runs monotonically from b_N / a_N to its limit
+    1 / fp.slope_ratio, so that limit must not lie below b_N / a_N.
+    """
+    pair = fp.pair
     if not check_ratio_monotone(pair):
         raise ConfigurationError("b_n / a_n must be nondecreasing")
-    a, b = pair.a, pair.b
-    if len(pair) == 1:
-        return
-    s_a = a[-1] - a[-2]
-    s_b = b[-1] - b[-2]
-    if s_b * a[-1] - s_a * b[-1] < -1e-12 * b[-1] * a[-1]:
+    if fp.slope_ratio * pair.b[-1] > (1.0 + 1e-12) * pair.a[-1]:
         raise ConfigurationError(
             "the continuation of the norming pair past N would make b/a decrease;"
             " enlarge the pair"
@@ -379,7 +375,7 @@ def check_thm11_ii(
     big_n = len(fp.pair)
     if not (1 <= n <= big_n):
         raise ConfigurationError(f"n must lie in [1, {big_n}], got {n}")
-    _require_extension_safe(fp.pair)
+    _require_extension_safe(fp)
     space = d.space
     b_n = float(fp.pair.b[n - 1])
     a_n = float(fp.pair.a[n - 1])
@@ -468,8 +464,8 @@ def check_levy(
         # the maximal difference is 0 only when every difference is
         max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
         thr = tg * b_n
-        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
-        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
+        lhs, _ = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
+        rhs, _ = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
         return lhs, rhs, 4**n
 
     def sides(rng, m):
@@ -575,21 +571,22 @@ def _criterion_points(
     analytic_vals = [None] * len(n_grid)
     if not symmetrized:
         analytic_vals = [tail_prob(d, float(pair.b[n - 1])) for n in n_grid]
-    nv = None
+    counts = None
     if any(v is None for v in analytic_vals):
         stream = STREAM_CRITERION_SYMM if symmetrized else STREAM_CRITERION
         rng = key.substream(stream).generator()
         x = draw(d, rng, criterion_R)
         if symmetrized:
             x = x - draw(d, rng, criterion_R)
-        nv = norms(x, d.space)
-        _refuse_nan(_nan_count(nv), criterion_R, "criterion sequence")
+        b_at = [float(pair.b[n - 1]) for n in n_grid]
+        counts, nan = _counts_per_threshold(norms(x, d.space), b_at)
+        _refuse_nan(nan, criterion_R, "criterion sequence")
     points = []
-    for n, a_val in zip(n_grid, analytic_vals):
+    for i, (n, a_val) in enumerate(zip(n_grid, analytic_vals)):
         if a_val is not None:
             points.append(CriterionPoint(n, TailEstimate.known(a_val), True))
         else:
-            k = int((nv > float(pair.b[n - 1])).sum())
+            k = int(counts[i])
             points.append(CriterionPoint(n, TailEstimate.from_counts(k, criterion_R, confidence), False))
     return tuple(points)
 
@@ -663,8 +660,8 @@ def _wlln(
                 diffs.append(sums[0] - sums[1])
             for v, diff in enumerate(diffs):
                 stat = norms(diff, space) / b_at[gi]
-                counts[v, gi] = _counts_per_threshold(stat, lam)
-                nan += _nan_count(stat)
+                counts[v, gi], stat_nan = _counts_per_threshold(stat, lam)
+                nan += stat_nan
             prev = n
         return {"counts": counts, "nan": nan}
 

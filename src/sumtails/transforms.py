@@ -93,16 +93,22 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     Norms beyond psi(N) use the linear continuation of the last
     segment, which is how the experiment suite keeps the transform
     total on unbounded laws.  An infinite norm (a float64 overflow)
-    takes the continuation's limit, the ratio of its slopes, so the
-    rescaled vector stays infinite instead of becoming NaN.
+    takes the continuation's limit, fp.slope_ratio, so the rescaled
+    vector stays infinite instead of becoming NaN.
     """
     s = np.asarray(norm_values, dtype=float)
     out_norm = fp.phi(fp.psi_inverse(s))
     out = np.zeros(s.shape)
-    with np.errstate(invalid="ignore"):
-        np.divide(out_norm, s, out=out, where=s > 0.0)
-    if np.max(s, initial=0.0) == np.inf:
-        out[s == np.inf] = (fp.a_grid[-1] - fp.a_grid[-2]) / (fp.b_grid[-1] - fp.b_grid[-2])
+    positive = s > 0.0
+    try:
+        with np.errstate(invalid="raise"):
+            np.divide(out_norm, s, out=out, where=positive)
+    except FloatingPointError:
+        # inf / inf is the only invalid division here, so finite norms
+        # pay no extra pass for this overflow case
+        with np.errstate(invalid="ignore"):
+            np.divide(out_norm, s, out=out, where=positive)
+        out[s == np.inf] = fp.slope_ratio
     return out
 
 

@@ -144,14 +144,14 @@ def test_enumeration_tiny_cases():
 def test_exact_tail_values():
     # |eps_1 + eps_2| is 0, 0, 2, 2; a norm equal to t does not exceed it
     nv = enumerate_sign_norms([[1.0], [1.0]], None, SpaceSpec(1, 2))
-    assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0]).tolist() == [2, 4, 0, 2]
+    assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0])[0].tolist() == [2, 4, 0, 2]
 
 
 def test_exact_tail_zero_beyond_total_mass():
     sp = SpaceSpec(2, 1)
     x = [[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]]
     total = sum(norm(np.array(v), sp) for v in x)
-    assert _counts_per_threshold(enumerate_sign_norms(x, None, sp), [total]).tolist() == [0]
+    assert _counts_per_threshold(enumerate_sign_norms(x, None, sp), [total])[0].tolist() == [0]
 
 
 def test_enumeration_against_product_oracle():
@@ -207,8 +207,8 @@ def test_enumeration_scale_equivariance():
     x = rng.standard_normal((6, 3))
     for c in (0.25, 7.0):
         t = 1.37  # no pattern lands exactly on the boundary
-        a = _counts_per_threshold(enumerate_sign_norms(x, None, sp), [t])
-        b = _counts_per_threshold(enumerate_sign_norms(c * x, None, sp), [c * t])
+        a, _ = _counts_per_threshold(enumerate_sign_norms(x, None, sp), [t])
+        b, _ = _counts_per_threshold(enumerate_sign_norms(c * x, None, sp), [c * t])
         assert a.tolist() == b.tolist()
 
 

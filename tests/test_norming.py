@@ -84,6 +84,14 @@ def test_linear_extension_past_last_knot():
     assert fp.phi_inverse(7.0) == 4.0
 
 
+def test_slope_ratio_is_the_rescale_limit():
+    fp = build_function_pair(NormingPair(a=[1.0, 3.0], b=[2.0, 5.0]))
+    assert fp.slope_ratio == 2.0 / 3.0
+    assert fp.phi(fp.psi_inverse(1e12)) / 1e12 == pytest.approx(2.0 / 3.0, rel=1e-11)
+    # one knot: the continuation is the segment from the origin
+    assert build_function_pair(NormingPair(a=[1.5], b=[4.0])).slope_ratio == 1.5 / 4.0
+
+
 def test_interp_extend_matches_the_full_array_continuation():
     # the continuation, written only where t lies past the last knot, equals
     # np.where over the whole array bit for bit at any mix of points

@@ -211,6 +211,11 @@ def test_thm11_ii_validation():
     bad = build_function_pair(NormingPair(a=[1.0, 4.0], b=[2.0, 3.0]))
     with pytest.raises(ConfigurationError, match="nondecreasing"):
         check_thm11_ii(rademacher(), bad, n=2, R=1000, key=KEY)
+    # b/a dips by 5e-13 at the knots, inside the monotone check's slack,
+    # but the continuation's limit 1 / slope_ratio lies 5e-7 below b_2/a_2
+    dips = build_function_pair(NormingPair(a=[1.0, 1.0 + 1e-6], b=[2.0, 2.0 + 2e-6 - 1e-12]))
+    with pytest.raises(ConfigurationError, match="continuation"):
+        check_thm11_ii(rademacher(), dips, n=2, R=1000, key=KEY)
 
 
 # --------------------------------------------------------------------- levy
@@ -415,10 +420,11 @@ def test_counts_per_threshold_matches_boolean_matrix(data):
         dtype=np.int64,
     )
     hits = stat[:, None] > thr[None, :]
-    assert np.array_equal(_counts_per_threshold(stat, thr), hits.sum(axis=0))
-    assert np.array_equal(
-        _counts_per_threshold(stat, thr, weights), (hits * weights[:, None]).sum(axis=0)
-    )
+    nan = int(np.isnan(stat).sum())
+    counts, got_nan = _counts_per_threshold(stat, thr)
+    assert np.array_equal(counts, hits.sum(axis=0)) and got_nan == nan
+    counts, got_nan = _counts_per_threshold(stat, thr, weights)
+    assert np.array_equal(counts, (hits * weights[:, None]).sum(axis=0)) and got_nan == nan
 
 
 # ------------------------------------------------------- randomized soundness

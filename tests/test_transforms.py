@@ -91,8 +91,9 @@ def test_rescale_factors_at_infinity_take_the_limit():
     # an overflowed norm keeps the continuation's limiting ratio s_a / s_b
     a, b = SQRT_PAIR.a_grid, SQRT_PAIR.b_grid
     ratio = (a[-1] - a[-2]) / (b[-1] - b[-2])
-    f = rescale_factors(np.array([math.inf, 4.0, 1e300]), SQRT_PAIR)
-    assert f[0] == ratio and f[1] == 0.5
+    assert SQRT_PAIR.slope_ratio == ratio
+    f = rescale_factors(np.array([math.inf, 4.0, 1e300, 0.0]), SQRT_PAIR)
+    assert f[0] == ratio and f[1] == 0.5 and f[3] == 0.0
     assert f[2] == pytest.approx(ratio, rel=1e-12)
     space = SpaceSpec(2, 2)
     v = np.array([[math.inf, 1.0]])

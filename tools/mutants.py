@@ -1,6 +1,6 @@
 """Mutation check: does the fast test subset fail when the program is wrong?
 
-    python3 tools/mutants.py [--list] [NAME ...]
+    python3 tools/mutants.py
 
 Each mutant is one exact-match text replacement in one file under src/.
 For each, the runner copies src/, tests/ and pyproject.toml into a
@@ -9,9 +9,9 @@ subset (every test file but the acceptance gate, without the
 console-script test, stopping at the first failure) and prints "killed"
 when a test fails or "survived" when all pass.  An unmutated run goes
 first and must pass, and a replacement whose text does not occur exactly
-once is an error, so a stale mutant can never count as killed.  With
-names, only those mutants run.  The exit code is 0 when every mutant
-that ran was killed.
+once is an error, so a stale mutant can never count as killed.  Every
+mutant runs each time, so the printed score always means the same
+thing; the exit code is 0 when every one was killed.
 
 The technique is DeMillo, Lipton & Sayward, "Hints on test data
 selection" (IEEE Computer, 1978).
@@ -19,7 +19,6 @@ selection" (IEEE Computer, 1978).
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -85,7 +84,13 @@ MUTANTS = (
     Mutant("scalar_bounds_as_arrays", "estimator.py", "return float(low), float(high)", "return low, high"),
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
-    Mutant("rescale_at_zero", "transforms.py", "where=s > 0.0)", "where=s >= 0.0)"),
+    Mutant("rescale_at_zero", "transforms.py", "positive = s > 0.0", "positive = s >= 0.0"),
+    Mutant(
+        "continuation_unchecked",
+        "suite.py",
+        "    if fp.slope_ratio * pair.b[-1] > (1.0 + 1e-12) * pair.a[-1]:",
+        "    if False:",
+    ),
     # the samplers
     Mutant("sign_bit_strict", "sources.py", "upper = u >= 0.5", "upper = u > 0.5"),
     Mutant(
@@ -118,11 +123,12 @@ MUTANTS = (
     ),
     # overflow
     Mutant("nan_counted_as_no_event", "suite.py", "    if nan_total:", "    if False:"),
+    Mutant("nan_count_zero", "suite.py", "nan = stat.size - valid", "nan = 0"),
     Mutant(
         "infinite_norm_rescaled_to_nan",
         "transforms.py",
-        "    if np.max(s, initial=0.0) == np.inf:",
-        "    if False:",
+        "        out[s == np.inf] = fp.slope_ratio\n",
+        "",
     ),
 )
 
@@ -153,21 +159,8 @@ def mutated_text(mutant: Mutant) -> str:
     return text.replace(mutant.old, mutant.new)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--list", action="store_true", help="print the mutants and exit")
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(unknown)}")
-    chosen = [by_name[n] for n in args.names] if args.names else list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}  {m.path}: {m.old.strip()!r} -> {m.new.strip()!r}")
-        return 0
-    texts = [mutated_text(m) for m in chosen]  # every replacement must match before any test runs
+def main() -> int:
+    texts = [mutated_text(m) for m in MUTANTS]  # every replacement must match before any test runs
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
@@ -175,7 +168,7 @@ def main(argv=None) -> int:
             print("the unmutated tree fails the fast subset; no mutant can be judged")
             return 2
         survivors = []
-        for m, text in zip(chosen, texts):
+        for m, text in zip(MUTANTS, texts):
             tree = Path(tmp) / m.name
             copy_tree(tree)
             (tree / "src" / "sumtails" / m.path).write_text(text)
@@ -186,7 +179,7 @@ def main(argv=None) -> int:
             if not killed:
                 survivors.append(m.name)
             shutil.rmtree(tree)
-    print(f"mutation score: {len(chosen) - len(survivors)} of {len(chosen)} killed")
+    print(f"mutation score: {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed")
     return 1 if survivors else 0
 
 
