@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -112,13 +113,15 @@ _KIND_NAMES = {
 def _check(v, path: str, kind):
     """v if it has the JSON type kind, else an error naming path.
 
-    kind is int, float (any number, returned as a float), str, dict or
-    list; [kind] is an array whose elements all have that kind.
+    kind is int, float (any finite number, returned as a float), str,
+    dict or list; [kind] is an array whose elements all have that kind.
     """
     if isinstance(kind, list):
         return [_check(e, f"{path}[{i}]", kind[0]) for i, e in enumerate(_check(v, path, list))]
     if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
         raise ConfigurationError(f"{path}: expected {_KIND_NAMES[kind]}, got {v!r}")
+    if kind is float and not math.isfinite(v):
+        raise ConfigurationError(f"{path}: expected a finite number, got {v!r}")
     return float(v) if kind is float else v
 
 
@@ -146,10 +149,11 @@ def _space_from(cfg: dict, parent: str) -> SpaceSpec:
     sc = _get(cfg, parent, "space", dict)
     dim = _get(sc, path, "dim", int)
     q = sc.get("q", 2.0)
-    if isinstance(q, str):
-        if q not in ("inf", "Infinity"):
-            raise ConfigurationError(f"{path}.q: expected a number >= 1 or 'inf', got {q!r}")
-        q = float("inf")
+    # q = inf, the max norm, is the one infinite number a config may hold
+    if q in ("inf", "Infinity", math.inf):
+        q = math.inf
+    elif isinstance(q, str):
+        raise ConfigurationError(f"{path}.q: expected a number >= 1 or 'inf', got {q!r}")
     else:
         q = _check(q, f"{path}.q", float)
     return _build(path, SpaceSpec, dim=dim, q=q)
@@ -292,18 +296,14 @@ def _run_inequality(cfg: dict, index: int, key: StreamKey, threads: int, confide
     kwargs["R"] = _get(cfg, parent, "R", int) if kwargs.get("mode", "mc") == "mc" else None
     if experiment == "thm11_i":
         pair = _norming_from(cfg, parent)
-
-        def b_of(count):
-            if count > len(pair):
-                raise ConfigurationError(
-                    f"{_path(parent, 'vectors')}: n = {count} exceeds norming length {len(pair)}"
-                )
-            return float(pair.b[count - 1])
-
-        x = _vectors_from(cfg, space, key, parent, b_of)
+        x = _vectors_from(
+            cfg, space, key, parent, lambda count: _build(_path(parent, "vectors"), pair.at, count)[1]
+        )
         checker, args = check_thm11_i, (x, build_function_pair(pair), space)
     elif experiment == "contraction":
         radius = _get(cfg, parent, "vector_scale", float, 1.0)
+        if radius <= 0:
+            raise ConfigurationError(f"{_path(parent, 'vector_scale')}: must be positive, got {radius}")
         x = _vectors_from(cfg, space, key, parent, lambda count: radius)
         checker, args = check_contraction, (x, _weights_from(cfg, len(x), key, parent), space)
     else:
@@ -414,7 +414,9 @@ def validate_config(cfg: dict) -> str:
                 "missing required key seed (pass --seed or set it in the config;"
                 " there is no wall-clock default)"
             )
-        _get(cfg, "", "seed", int)
+        seed = _get(cfg, "", "seed", int)
+        if not 0 <= seed < 2**64:
+            raise ConfigurationError(f"seed: must lie in [0, 2^64), got {seed}")
     return experiment
 
 
@@ -455,7 +457,7 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         sweep = experiment == "sweep"
         rows, summaries, violated = [], [], False
         for i, sub in enumerate(cfg["configs"] if sweep else [cfg]):
-            key = StreamKey(cfg["seed"] % 2**64, i).child(0)
+            key = StreamKey(cfg["seed"], i).child(0)
             sub_rows, sub_summary, sub_violated = runner(
                 sub, i, key, threads_v, conf_v, f"configs[{i}]" if sweep else ""
             )

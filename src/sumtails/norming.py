@@ -64,6 +64,14 @@ class NormingPair:
     def __len__(self) -> int:
         return int(self.a.size)
 
+    def at(self, n: int) -> tuple[float, float]:
+        """(a_n, b_n); the one place the index rule 1 <= n <= N is checked."""
+        if not 1 <= n <= len(self):
+            raise ConfigurationError(
+                f"n must lie in [1, {len(self)}] (N is the norming pair length), got {n}"
+            )
+        return float(self.a[n - 1]), float(self.b[n - 1])
+
 
 def check_ratio_monotone(pair: NormingPair) -> bool:
     """True when b_n / a_n is nondecreasing in n, up to _RATIO_RTOL * max(b/a)."""

@@ -395,23 +395,27 @@ def tail_prob(d: DistributionSpec, t: float) -> float | None:
         if d.space.dim != 1:
             return None
         c = d.shift[0]
-        base_cdf = _scalar_cdf(d.base)
-        if base_cdf is None:
-            return None
-        # P(|Y + c| > t) = 1 - (F(t - c) - F(-t - c))
-        if t < 0:
-            return 1.0
-        return 1.0 - max(0.0, base_cdf(t - c) - base_cdf(-t - c))
+        # P(|Y + c| > t) = 1 - P(-t - c <= Y <= t - c)
+        mass = _scalar_mass(d.base, -t - c, t - c)
+        return None if mass is None else 1.0 - mass
     if d.lifting in ("scalar", "radial"):
         return _scalar_abs_tail(d, t)
     return None
 
 
+def _scalar_mass(d: DistributionSpec, lo: float, hi: float) -> float | None:
+    """P(lo <= X <= hi) for the scalar law, closed form or None; an atom on an edge lies inside."""
+    if hi < lo:
+        return 0.0
+    if d.kind == "rademacher":
+        return 0.5 * ((lo <= -1.0 <= hi) + (lo <= 1.0 <= hi))
+    cdf = _scalar_cdf(d)
+    return None if cdf is None else max(0.0, cdf(hi) - cdf(lo))
+
+
 def _scalar_cdf(d: DistributionSpec):
-    """CDF t -> P(X <= t) of the scalar law, or None."""
+    """CDF t -> P(X <= t) of a scalar law without atoms, or None."""
     k = d.kind
-    if k == "rademacher":
-        return lambda t: 0.0 if t < -1 else (0.5 if t < 1 else 1.0)
     if k == "pareto_one_sided":
         a = d.alpha
         return lambda t: 0.0 if t < 1 else 1.0 - t ** (-a)
@@ -495,14 +499,11 @@ def truncated_mean(d: DistributionSpec, bound: float) -> np.ndarray | None:
         return np.zeros(dim)
     if d.kind == "shifted" and dim == 1:
         c = d.shift[0]
-        base = d.base
-        cdf = _scalar_cdf(base)
-        pm = _scalar_partial_mean(base, -bound - c, bound - c)
-        if cdf is None or pm is None:
+        # E[(Y + c) 1{-bound - c <= Y <= bound - c}], both edges inside
+        pm = _scalar_partial_mean(d.base, -bound - c, bound - c)
+        mass = _scalar_mass(d.base, -bound - c, bound - c)
+        if pm is None or mass is None:
             return None
-        mass = max(0.0, cdf(bound - c) - cdf(-bound - c))
-        # crude but adequate: CDF jumps at the edges belong inside for
-        # the laws above because none places an atom at the endpoints
         return np.array([pm + c * mass])
     if dim == 1 and d.lifting == "scalar":
         pm = _scalar_partial_mean(d, -bound, bound)

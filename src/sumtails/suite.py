@@ -174,14 +174,55 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> tuple[n
     return cum[valid] - cum[at_most], nan
 
 
-def _refuse_nan(nan_total: int, statistics: int, name: str) -> None:
+def _refuse_nan(nan_total: int, statistics: int, name: str, kind: str) -> None:
     """A NaN statistic is no event, so a count that skips it would be wrong."""
     if nan_total:
         raise DomainError(
-            f"{name}: {nan_total} of {statistics} Monte Carlo statistics are NaN,"
-            " from float64 overflow (e.g. inf - inf in a sum); the law's parameters"
-            " are out of range for these sample sizes"
+            f"{name}: {nan_total} of {statistics} {kind} statistics are NaN, from a NaN input"
+            " or a float64 overflow (e.g. inf - inf in a sum); a NaN cannot be counted, so"
+            " the inputs are out of range"
         )
+
+
+def _require_stream(R, key) -> None:
+    """What every Monte Carlo run needs: a StreamKey and R >= 100 replications."""
+    if key is None:
+        raise ConfigurationError("Monte Carlo needs a StreamKey")
+    if R is None or R < 100:
+        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+
+
+def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
+    """Success counts of every statistic at every threshold over R replications.
+
+    statistics(rng, m) yields arrays holding one statistic of m
+    replications each, then any ints to total over all blocks.  Returns
+    the (statistics x thresholds) count matrix and the totals of those
+    ints; a NaN statistic is refused, never skipped.
+    """
+    _require_stream(R, key)
+
+    def block(rng, m):
+        counts, extra, nan = [], [], 0
+        for s in statistics(rng, m):
+            if isinstance(s, int):
+                extra.append(s)
+                continue
+            c, s_nan = _counts_per_threshold(s, thresholds)
+            counts.append(c)
+            nan += s_nan
+        return {"counts": np.array(counts), "extra": np.array(extra, dtype=np.int64), "nan": nan}
+
+    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
+    counts = totals["counts"]
+    _refuse_nan(int(totals["nan"]), len(counts) * R, name, "Monte Carlo")
+    return counts, totals["extra"]
+
+
+def _report_config(space: SpaceSpec, d: DistributionSpec | None = None, **fields) -> dict:
+    """A report's config: the law's kind and lifting if there is a law, the space, then fields."""
+    law = {} if d is None else {"kind": d.kind, "lifting": d.lifting}
+    return {**law, "dim": space.dim, "q": space.q, **fields}
 
 
 def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> list[TailEstimate]:
@@ -202,35 +243,22 @@ def _compare(
 ):
     """One report per threshold from the lhs and rhs success counts.
 
-    Exact mode takes exact(): the lhs and rhs counts at every t and the
-    number of equally likely outcomes.  Monte Carlo runs sides(rng, m),
-    which returns the lhs and rhs statistics of m replications followed
-    by any integer counts to total over all blocks; tail(totals) turns
-    those totals into the tail term, which the bound weighs by tail_weight.
+    Exact mode takes exact(): what _counts_per_threshold returns for
+    the lhs and for the rhs, and the number of equally likely outcomes.  Monte Carlo runs sides, the lhs and rhs statistics and
+    any ints, through _mc_pass; tail(totals) turns the totals of those
+    ints into the tail term, which the bound weighs by tail_weight.
     """
     tail_term = None
     if mode == "exact":
-        lhs, rhs, reps = exact()
-    else:
-        if mode != "mc":
-            raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-        if R is None or key is None:
-            raise ConfigurationError("mc mode needs R and a StreamKey")
-        if R < 100:
-            raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
-
-        def block(rng, m):
-            s_l, s_r, *extra = sides(rng, m)
-            lhs, nan_l = _counts_per_threshold(s_l, tg)
-            rhs, nan_r = _counts_per_threshold(s_r, tg)
-            extra = np.array(extra, dtype=np.int64)
-            return {"lhs": lhs, "rhs": rhs, "extra": extra, "nan": nan_l + nan_r}
-
-        totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-        _refuse_nan(int(totals["nan"]), 2 * R, name)
-        lhs, rhs, reps = totals["lhs"], totals["rhs"], R
+        (lhs, nan_l), (rhs, nan_r), reps = exact()
+        _refuse_nan(nan_l + nan_r, 2 * reps, name, "exact")
+    elif mode == "mc":
+        (lhs, rhs), extra = _mc_pass(name, sides, tg, R, key, block_size, threads)
+        reps = R
         if tail is not None:
-            tail_term = tail(totals["extra"])
+            tail_term = tail(extra)
+    else:
+        raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     lhs_t = _estimates(lhs, reps, confidence, mode == "exact")
     rhs_t = _estimates(rhs, reps, confidence, mode == "exact")
     return [
@@ -259,11 +287,7 @@ def check_thm11_i(
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
-    big_n = len(fp.pair)
-    if n > big_n:
-        raise ConfigurationError(f"n = {n} exceeds the norming pair length {big_n}")
-    b_n = float(fp.pair.b[n - 1])
-    a_n = float(fp.pair.a[n - 1])
+    a_n, b_n = fp.pair.at(n)
     xnorms = norms(xa, space)
     bad = np.nonzero(xnorms > b_n)[0]
     if bad.size:
@@ -273,18 +297,11 @@ def check_thm11_i(
         )
     t_vec = xa * rescale_factors(xnorms, fp)[:, None]
     tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)
-    config = {
-        "n": n,
-        "dim": space.dim,
-        "q": space.q,
-        "a_n": a_n,
-        "b_n": b_n,
-        "mode": mode,
-    }
+    config = _report_config(space, n=n, a_n=a_n, b_n=b_n, mode=mode)
 
     def exact():
-        lhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
-        rhs, _ = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
+        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
@@ -319,11 +336,11 @@ def check_contraction(
         i = int(bad[0])
         raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
     tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
-    config = {"n": n, "dim": space.dim, "q": space.q, "mode": mode}
+    config = _report_config(space, n=n, mode=mode)
 
     def exact():
-        lhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
-        rhs, _ = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
+        rhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
@@ -372,26 +389,12 @@ def check_thm11_ii(
     """
     if not is_symmetric(d):
         raise ConfigurationError("the comparison requires a symmetric law; got a non-symmetric spec")
-    big_n = len(fp.pair)
-    if not (1 <= n <= big_n):
-        raise ConfigurationError(f"n must lie in [1, {big_n}], got {n}")
+    a_n, b_n = fp.pair.at(n)
     _require_extension_safe(fp)
     space = d.space
-    b_n = float(fp.pair.b[n - 1])
-    a_n = float(fp.pair.a[n - 1])
     tg = _t_grid(t_grid, DEFAULT_T_STOP)
     analytic_tail = tail_prob(d, b_n)
-    config = {
-        "kind": d.kind,
-        "lifting": d.lifting,
-        "n": n,
-        "dim": space.dim,
-        "q": space.q,
-        "a_n": a_n,
-        "b_n": b_n,
-        "R": R,
-        "mode": "mc",
-    }
+    config = _report_config(space, d, n=n, a_n=a_n, b_n=b_n, R=R, mode="mc")
 
     def sides(rng, m):
         v = draw(d, rng, (m, n))
@@ -435,19 +438,11 @@ def check_levy(
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
-    if b_n <= 0:
-        raise ConfigurationError(f"b_n must be positive, got {b_n}")
+    if not 0 < b_n < math.inf:
+        raise ConfigurationError(f"b_n must be positive and finite, got {b_n}")
     tg = _t_grid(t_grid, DEFAULT_T_STOP)
     space = d.space
-    config = {
-        "kind": d.kind,
-        "lifting": d.lifting,
-        "n": n,
-        "dim": space.dim,
-        "q": space.q,
-        "b_n": b_n,
-        "mode": mode,
-    }
+    config = _report_config(space, d, n=n, b_n=b_n, mode=mode)
 
     def exact():
         if d.kind != "rademacher" or space.dim != 1:
@@ -464,8 +459,8 @@ def check_levy(
         # the maximal difference is 0 only when every difference is
         max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
         thr = tg * b_n
-        lhs, _ = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
-        rhs, _ = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
+        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
+        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
         return lhs, rhs, 4**n
 
     def sides(rng, m):
@@ -541,23 +536,19 @@ def _default_n_grid(n_max: int) -> list[int]:
     return out or [n_max]
 
 
-def _validate_n_grid(n_grid, n_max: int) -> list[int]:
+def _validate_n_grid(n_grid) -> list[int]:
     grid = [int(v) for v in n_grid]
     if not grid:
         raise ConfigurationError("n_grid must be nonempty")
-    if any(v < 1 for v in grid):
-        raise ConfigurationError("n_grid entries must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError("n_grid must be strictly increasing")
-    if grid[-1] > n_max:
-        raise ConfigurationError(f"n_grid exceeds the norming pair length {n_max}")
     return grid
 
 
 def _criterion_points(
     d: DistributionSpec,
-    pair: NormingPair,
     n_grid: list[int],
+    b_at: list[float],
     key: StreamKey,
     criterion_R: int,
     confidence: float,
@@ -570,7 +561,7 @@ def _criterion_points(
     """
     analytic_vals = [None] * len(n_grid)
     if not symmetrized:
-        analytic_vals = [tail_prob(d, float(pair.b[n - 1])) for n in n_grid]
+        analytic_vals = [tail_prob(d, b_n) for b_n in b_at]
     counts = None
     if any(v is None for v in analytic_vals):
         stream = STREAM_CRITERION_SYMM if symmetrized else STREAM_CRITERION
@@ -578,9 +569,8 @@ def _criterion_points(
         x = draw(d, rng, criterion_R)
         if symmetrized:
             x = x - draw(d, rng, criterion_R)
-        b_at = [float(pair.b[n - 1]) for n in n_grid]
         counts, nan = _counts_per_threshold(norms(x, d.space), b_at)
-        _refuse_nan(nan, criterion_R, "criterion sequence")
+        _refuse_nan(nan, criterion_R, "criterion sequence", "Monte Carlo")
     points = []
     for i, (n, a_val) in enumerate(zip(n_grid, analytic_vals)):
         if a_val is not None:
@@ -614,72 +604,55 @@ def _wlln(
     lands in which replication; changing either changes the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
-    if key is None:
-        raise ConfigurationError(f"{caller} needs a StreamKey")
-    if R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+    # the gamma_n and criterion streams come off the key before the pass does
+    _require_stream(R, key)
+    if criterion_R < 1:
+        raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")
     if not check_ratio_monotone(pair):
         raise ConfigurationError("b_n / a_n must be nondecreasing")
-    n_max = len(pair)
-    grid = _default_n_grid(n_max) if n_grid is None else _validate_n_grid(n_grid, n_max)
+    grid = _default_n_grid(len(pair)) if n_grid is None else _validate_n_grid(n_grid)
+    b_at = [pair.at(n)[1] for n in grid]
     lam = _as_grid(lambda_grid, "lambda_grid")
     if np.any(np.diff(lam) <= 0):
         raise ConfigurationError("lambda_grid must be strictly increasing")
     space = d.space
     dim = space.dim
-    b_at = [float(pair.b[n - 1]) for n in grid]
     gammas = []
     for n, b_n in zip(grid, b_at):
         mode = gamma_mode
         if gamma_mode == "auto":
             mode = "analytic" if truncated_mean(d, b_n) is not None else "monte_carlo"
         gammas.append(gamma_n(d, b_n, n, mode=mode, R=gamma_R, key=key.child(n)))
-    criteria = [_criterion_points(d, pair, grid, key, criterion_R, confidence)]
+    criteria = [_criterion_points(d, grid, b_at, key, criterion_R, confidence)]
     if symmetrized:
-        criteria.append(
-            _criterion_points(d, pair, grid, key, criterion_R, confidence, symmetrized=True)
-        )
+        criteria.append(_criterion_points(d, grid, b_at, key, criterion_R, confidence, symmetrized=True))
     k = 2 if symmetrized else 1
 
-    def block(rng, m):
+    def statistics(rng, m):
         # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
         sums = np.zeros((k, m, dim))
-        counts = np.zeros((k, len(grid), lam.size), dtype=np.int64)
-        nan = 0
         chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
         prev = 0
-        for gi, n in enumerate(grid):
+        for n, gamma, b_n in zip(grid, gammas, b_at):
             need = n - prev
             while need > 0:
                 c = min(chunk, need)
                 for running in sums:
                     running += draw(d, rng, (m, c)).sum(axis=1)
                 need -= c
-            diffs = [sums[0] - gammas[gi]]
+            yield norms(sums[0] - gamma, space) / b_n
             if symmetrized:
-                diffs.append(sums[0] - sums[1])
-            for v, diff in enumerate(diffs):
-                stat = norms(diff, space) / b_at[gi]
-                counts[v, gi], stat_nan = _counts_per_threshold(stat, lam)
-                nan += stat_nan
+                yield norms(sums[0] - sums[1], space) / b_n
             prev = n
-        return {"counts": counts, "nan": nan}
 
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    _refuse_nan(int(totals["nan"]), k * len(grid) * R, caller)
-    counts = totals["counts"]
-    config = {
-        "kind": d.kind,
-        "lifting": d.lifting,
-        "dim": dim,
-        "q": space.q,
-        "R": R,
-        "gamma_mode": gamma_mode,
-    }
+    counts, _ = _mc_pass(caller, statistics, lam, R, key, block_size, threads)
+    # rows run over n, and within each n over the variants
+    counts = counts.reshape(len(grid), k, lam.size)
+    config = _report_config(space, d, R=R, gamma_mode=gamma_mode)
     out = []
     for v, criterion in enumerate(criteria):
         cfg = dict(config, variant=("centered", "symmetrized")[v]) if symmetrized else config
-        estimates = tuple(tuple(_estimates(row, R, confidence)) for row in counts[v])
+        estimates = tuple(tuple(_estimates(row, R, confidence)) for row in counts[:, v])
         out.append(
             WllnDiagnostic(
                 config=cfg,

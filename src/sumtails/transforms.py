@@ -53,17 +53,15 @@ class TransformContext:
     n: int
 
     def __post_init__(self):
-        big_n = len(self.function_pair.pair)
-        if not (1 <= self.n <= big_n):
-            raise ConfigurationError(f"n must lie in [1, {big_n}], got {self.n}")
+        self.function_pair.pair.at(self.n)
 
     @property
     def a_n(self) -> float:
-        return float(self.function_pair.pair.a[self.n - 1])
+        return self.function_pair.pair.at(self.n)[0]
 
     @property
     def b_n(self) -> float:
-        return float(self.function_pair.pair.b[self.n - 1])
+        return self.function_pair.pair.at(self.n)[1]
 
 
 def rescale(v, ctx: TransformContext) -> np.ndarray:

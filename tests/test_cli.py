@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -244,6 +245,9 @@ def test_q_inf_accepted(tmp_path):
     cfg = dict(LEVY_CFG)
     cfg["space"] = {"dim": 1, "q": "inf"}
     assert cli.run(cfg, out=str(out)) == 0
+    # the max norm is the one infinite number a config may hold
+    cfg["space"] = {"dim": 1, "q": math.inf}
+    assert cli.run(cfg, out=str(tmp_path / "qn")) == 0
 
 
 def test_missing_key_paths():
@@ -466,7 +470,10 @@ def test_key_path_sweep_runs(tmp_path):
         ),
         (0, "vectors", [], "configs[0].vectors: must be nonempty"),
         (0, "vectors", {"random": {"count": 0}}, "configs[0].vectors.random.count: must be >= 1"),
-        (0, "vectors", {"random": {"count": 9}}, "configs[0].vectors: n = 9 exceeds norming length 8"),
+        (
+            0, "vectors", {"random": {"count": 9}},
+            "configs[0].vectors: n must lie in [1, 8] (N is the norming pair length), got 9",
+        ),
         (0, "vectors", {"count": 2}, "missing required key configs[0].vectors.random"),
         (
             0, "vectors", {"random": {"count": 2, "scale": 2}},
@@ -508,6 +515,14 @@ def test_key_path_sweep_runs(tmp_path):
         (2, "norming", _DELETE, "missing required key configs[2].norming"),
         (3, "b_n", "1", "configs[3].b_n: expected a number, got '1'"),
         (3, "space", _DELETE, "missing required key configs[3].space"),
+        (1, "vector_scale", 0, "configs[1].vector_scale: must be positive, got 0.0"),
+        (1, "vector_scale", -0.5, "configs[1].vector_scale: must be positive, got -0.5"),
+        (
+            0, "vectors", [[0.5], [float("nan")]],
+            "configs[0].vectors[1][0]: expected a finite number, got nan",
+        ),
+        (3, "b_n", float("inf"), "configs[3].b_n: expected a finite number, got inf"),
+        (0, "t_grid", [0.0, -math.inf], "configs[0].t_grid[1]: expected a finite number, got -inf"),
     ],
 )
 def test_sweep_key_path_messages(tmp_path, index, dotted, value, message):
@@ -531,6 +546,27 @@ def test_checker_errors_exit_2_and_name_the_config(tmp_path, capsys):
     p = _write_json(tmp_path / "thm11_ii.json", single)
     assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "t")]) == 2
     assert capsys.readouterr().err.strip() == "error: Monte Carlo needs R >= 100, got 5"
+
+
+def test_nan_literal_is_rejected(tmp_path, capsys):
+    # json writes and reads the NaN literal; an exact run counted it as no event and exited 0
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(dict(THM11_I_CFG, vectors=[[float("nan")], [1.0]])))
+    assert "NaN" in p.read_text()
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "n")]) == 2
+    assert capsys.readouterr().err.strip() == "error: vectors[0][0]: expected a finite number, got nan"
+
+
+def test_seed_outside_64_bits_is_rejected(tmp_path, capsys):
+    # seed % 2**64 used to run seed 2**64 as seed 0 and seed -1 as 2**64 - 1
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigurationError) as info:
+            cli.validate_config(dict(LEVY_CFG, seed=seed))
+        assert str(info.value) == f"seed: must lie in [0, 2^64), got {seed}"
+    p = _write_json(tmp_path / "cfg.json", LEVY_CFG)
+    assert cli.main(["run", "--config", str(p), "--seed", "-1", "--out", str(tmp_path / "m")]) == 2
+    assert capsys.readouterr().err.strip() == "error: seed: must lie in [0, 2^64), got -1"
+    assert cli.validate_config(dict(LEVY_CFG, seed=2**64 - 1)) == "levy"
 
 
 def test_ragged_and_non_numeric_arrays_are_rejected(tmp_path):

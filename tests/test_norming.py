@@ -37,6 +37,16 @@ def test_violating_index_is_named():
         NormingPair(a=[1.0, 2.0, 1.5], b=[1.0, 2.0, 3.0])
 
 
+def test_index_rule():
+    pair = power_pair(4, 0.5, 1.0)
+    assert pair.at(1) == (1.0, 1.0)
+    assert pair.at(4) == (2.0, 4.0)
+    for n in (0, -1, 5):
+        with pytest.raises(ConfigurationError) as info:
+            pair.at(n)
+        assert str(info.value) == f"n must lie in [1, 4] (N is the norming pair length), got {n}"
+
+
 def test_ratio_monotone_check():
     assert check_ratio_monotone(NormingPair(a=[1.0, 2.0], b=[1.0, 4.0]))
     assert not check_ratio_monotone(NormingPair(a=[1.0, 4.0], b=[1.0, 2.0]))

@@ -379,6 +379,17 @@ def test_truncated_mean_shifted_against_quadrature():
         assert truncated_mean(d, b)[0] == pytest.approx(oracle, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_shifted_random_signs_against_two_point_enumeration(c):
+    # Y = X + c takes c - 1 and c + 1 with probability 1/2 each; t and the
+    # bound sit on |atoms| too, where an atom on an interval edge lies inside
+    d = shifted(rademacher(), [c])
+    atoms = (c - 1.0, c + 1.0)
+    for t in sorted({0.0, 0.5, abs(c - 1.0), abs(c + 1.0), 2.5}):
+        assert tail_prob(d, t) == sum(0.5 for y in atoms if abs(y) > t)
+        assert truncated_mean(d, t)[0] == sum(0.5 * y for y in atoms if abs(y) <= t)
+
+
 def test_truncated_mean_unavailable():
     d = stable_symmetric(1.5, SpaceSpec(2, 2), lifting="iid_coordinates")
     # symmetric, so known to be zero even without a closed form

@@ -93,6 +93,18 @@ def test_thm11_i_mode_errors():
         check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="mc", R=50, key=KEY)
 
 
+def test_exact_mode_refuses_nan():
+    # a NaN input made every statistic NaN, which counted as no event: lhs = rhs = 0, "holds"
+    nan = float("nan")
+    with pytest.raises(DomainError, match=r"contraction: 8 of 8 exact statistics are NaN"):
+        check_contraction([[nan], [1.0]], [1.0, 0.5], SpaceSpec(1), t_grid=[0.0, 0.5])
+    with pytest.raises(DomainError, match=r"thm11_i: 8 of 8 exact statistics are NaN"):
+        check_thm11_i([[nan], [1.0]], SQRT_PAIR, SpaceSpec(1), t_grid=[0.0, 0.5])
+    # inf - inf in a sign pattern is NaN too
+    with pytest.raises(DomainError, match=r"contraction: 4 of 8 exact statistics are NaN"):
+        check_contraction([[math.inf], [math.inf]], [1.0, 1.0], SpaceSpec(1), t_grid=[0.0])
+
+
 def test_thm11_i_mc_matches_exact():
     sp = SpaceSpec(2, 1)
     rng = np.random.default_rng(2)
@@ -204,8 +216,9 @@ def test_thm11_ii_validation():
     fp = build_function_pair(power_pair(8, 0.5, 1.0))
     with pytest.raises(ConfigurationError, match="StreamKey"):
         check_thm11_ii(rademacher(), fp, n=4)
-    with pytest.raises(ConfigurationError, match="n must lie"):
-        check_thm11_ii(rademacher(), fp, n=9, R=1000, key=KEY)
+    for n in (0, 9):
+        with pytest.raises(ConfigurationError, match=rf"n must lie in \[1, 8\] .* got {n}"):
+            check_thm11_ii(rademacher(), fp, n=n, R=1000, key=KEY)
     with pytest.raises(ConfigurationError, match="R >= 100"):
         check_thm11_ii(rademacher(), fp, n=4, R=50, key=KEY)
     bad = build_function_pair(NormingPair(a=[1.0, 4.0], b=[2.0, 3.0]))
@@ -320,8 +333,10 @@ def test_levy_point_mass_degenerate():
 def test_levy_validation():
     with pytest.raises(ConfigurationError):
         check_levy(rademacher(), n=0)
-    with pytest.raises(ConfigurationError, match="b_n"):
-        check_levy(rademacher(), n=2, b_n=0.0, R=1000, key=KEY)
+    # b_n = NaN raised a misleading overflow error and b_n = inf zeroed every statistic
+    for b_n in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="b_n must be positive and finite"):
+            check_levy(rademacher(), n=2, b_n=b_n, R=1000, key=KEY)
     with pytest.raises(ConfigurationError, match="StreamKey"):
         check_levy(rademacher(), n=2)
     with pytest.raises(ConfigurationError, match="R >= 100"):
@@ -509,6 +524,12 @@ def test_wlln_validation():
         run_wlln(d, pair, n_grid=[4, 4], R=1000, key=KEY)
     with pytest.raises(ConfigurationError, match="pair length"):
         run_wlln(d, pair, n_grid=[4, 32], R=1000, key=KEY)
+    with pytest.raises(ConfigurationError, match=r"n must lie in \[1, 16\] .* got 0"):
+        run_wlln(d, pair, n_grid=[0, 4], R=1000, key=KEY)
+    # criterion_R = 0 divided by zero and a negative one reached numpy
+    for criterion_R in (0, -5):
+        with pytest.raises(ConfigurationError, match=f"criterion_R must be >= 1, got {criterion_R}"):
+            cross_check_symmetrization(pareto_one_sided(2.0), pair, R=200, key=KEY, criterion_R=criterion_R)
     with pytest.raises(ConfigurationError, match="lambda_grid"):
         run_wlln(d, pair, lambda_grid=[0.5, 0.5], R=1000, key=KEY)
     with pytest.raises(ConfigurationError, match="lambda_grid must be strictly increasing"):

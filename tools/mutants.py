@@ -118,8 +118,16 @@ MUTANTS = (
     Mutant(
         "sweep_seed_plus_index",
         "cli.py",
-        'key = StreamKey(cfg["seed"] % 2**64, i).child(0)',
-        'key = StreamKey((cfg["seed"] + i) % 2**64)',
+        'key = StreamKey(cfg["seed"], i).child(0)',
+        'key = StreamKey(cfg["seed"] + i)',
+    ),
+    # the single input rules
+    Mutant("index_from_zero", "norming.py", "if not 1 <= n <= len(self):", "if not n <= len(self):"),
+    Mutant(
+        "exact_nan_counted",
+        "suite.py",
+        '        _refuse_nan(nan_l + nan_r, 2 * reps, name, "exact")\n',
+        "",
     ),
     # overflow
     Mutant("nan_counted_as_no_event", "suite.py", "    if nan_total:", "    if False:"),
