@@ -120,9 +120,17 @@ def _check(v, path: str, kind):
         return [_check(e, f"{path}[{i}]", kind[0]) for i, e in enumerate(_check(v, path, list))]
     if isinstance(v, bool) or not isinstance(v, (int, float) if kind is float else kind):
         raise ConfigurationError(f"{path}: expected {_KIND_NAMES[kind]}, got {v!r}")
-    if kind is float and not math.isfinite(v):
+    if kind is not float:
+        return v
+    try:
+        x = float(v)
+    except OverflowError:  # a JSON integer past the float64 range
+        raise ConfigurationError(
+            f"{path}: expected a finite number, got an integer of {len(str(v))} digits"
+        ) from None
+    if not math.isfinite(x):
         raise ConfigurationError(f"{path}: expected a finite number, got {v!r}")
-    return float(v) if kind is float else v
+    return x
 
 
 def _get(cfg: dict, parent: str, key: str, kind, default=_REQUIRED):
@@ -506,7 +514,7 @@ def _load_config(config_path) -> dict:
     try:
         with open(p) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # bad JSON, or an integer past Python's 4300-digit limit
         raise ConfigurationError(f"config is not valid JSON: {e}") from None
     if isinstance(doc, dict) and doc.get("tool") == "sumtails" and "config" in doc:
         # a manifest.json from an earlier run; re-run its embedded config

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta
+from scipy.special import betaincinv
 
 from .errors import ConfigurationError
 from .space import SpaceSpec, norms
@@ -37,9 +37,10 @@ DEFAULT_BLOCK_SIZE = 4096
 def clopper_pearson(successes, n: int, confidence: float = 0.99):
     """Exact two-sided binomial confidence bounds from beta quantiles.
 
-    successes is an integer or an integer array.  For an array the
-    bounds are two arrays of its shape, from one beta quantile call per
-    bound, equal entry by entry to the scalar form's floats.
+    The quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k) come from
+    betaincinv.  successes is an integer or an integer array.  For an
+    array the bounds are two arrays of its shape, from one quantile call
+    per bound, equal entry by entry to the scalar form's floats.
     """
     k = np.asarray(successes)
     bad = (k < 0) | (k > n)
@@ -48,9 +49,9 @@ def clopper_pearson(successes, n: int, confidence: float = 0.99):
     if not (0 < confidence < 1):
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     tail = (1.0 - confidence) / 2.0
-    # beta.ppf gives NaN at k = 0 (low) and k = n (high), where the bounds are 0 and 1
-    low = np.where(k == 0, 0.0, beta.ppf(tail, k, n - k + 1))
-    high = np.where(k == n, 1.0, beta.ppf(1.0 - tail, k + 1, n - k))
+    # betaincinv gives NaN at k = 0 (low) and k = n (high), where the bounds are 0 and 1
+    low = np.where(k == 0, 0.0, betaincinv(k, n - k + 1, tail))
+    high = np.where(k == n, 1.0, betaincinv(k + 1, n - k, 1.0 - tail))
     if k.ndim == 0:
         return float(low), float(high)
     return low, high

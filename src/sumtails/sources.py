@@ -107,6 +107,14 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def _require_stream(R, key) -> None:
+    """What every Monte Carlo run needs: a StreamKey and R >= 100 replications."""
+    if key is None:
+        raise ConfigurationError("Monte Carlo needs a StreamKey")
+    if R is None or R < 100:
+        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+
+
 _KINDS = {
     "rademacher",
     "pareto_symmetric",

@@ -32,6 +32,7 @@ from .sources import (
     DistributionSpec,
     StreamKey,
     _random_signs,
+    _require_stream,
     draw,
     is_symmetric,
     tail_prob,
@@ -182,14 +183,6 @@ def _refuse_nan(nan_total: int, statistics: int, name: str, kind: str) -> None:
             " or a float64 overflow (e.g. inf - inf in a sum); a NaN cannot be counted, so"
             " the inputs are out of range"
         )
-
-
-def _require_stream(R, key) -> None:
-    """What every Monte Carlo run needs: a StreamKey and R >= 100 replications."""
-    if key is None:
-        raise ConfigurationError("Monte Carlo needs a StreamKey")
-    if R is None or R < 100:
-        raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
 
 
 def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):

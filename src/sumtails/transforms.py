@@ -20,6 +20,7 @@ from .sources import (
     STREAM_GAMMA,
     DistributionSpec,
     StreamKey,
+    _require_stream,
     draw,
     truncated_mean,
 )
@@ -198,10 +199,7 @@ def gamma_n(
             )
         return n * tm
     if mode == "monte_carlo":
-        if R is None or key is None:
-            raise ConfigurationError("monte_carlo mode needs R and a StreamKey")
-        if R < 100:
-            raise ConfigurationError(f"monte_carlo mode needs R >= 100, got {R}")
+        _require_stream(R, key)
         rng = key.substream(STREAM_GAMMA).generator()
         x = draw(d, rng, R)
         keep = norms(x, d.space) <= b_n

@@ -557,6 +557,20 @@ def test_nan_literal_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: vectors[0][0]: expected a finite number, got nan"
 
 
+def test_integer_past_float64_is_rejected(tmp_path, capsys):
+    # float() of a 401-digit JSON integer overflows; that traceback used to exit 1, "violated"
+    single = dict(KEY_PATH_SWEEP["configs"][3], schema_version=1, seed=7, b_n=10**400)
+    p = _write_json(tmp_path / "huge.json", single)
+    assert '"b_n": 1' + "0" * 400 + "," in p.read_text()
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "h")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: b_n: expected a finite number, got an integer of 401 digits"
+    # past 4300 digits json itself refuses to convert the integer
+    p.write_text(p.read_text().replace('"b_n": 1', '"b_n": 1' + "0" * 4000))
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "h")]) == 2
+    assert capsys.readouterr().err.startswith("error: config is not valid JSON: Exceeds the limit")
+
+
 def test_seed_outside_64_bits_is_rejected(tmp_path, capsys):
     # seed % 2**64 used to run seed 2**64 as seed 0 and seed -1 as 2**64 - 1
     for seed in (-1, 2**64):

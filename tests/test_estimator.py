@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -103,6 +107,45 @@ def test_clopper_pearson_array_equals_scalar(n):
     grid_low, grid_high = clopper_pearson(k[:300].reshape(20, 15), n, 0.95)
     assert grid_low.shape == (20, 15)
     assert grid_high[3, 4] == clopper_pearson(int(k[49]), n, 0.95)[1]
+
+
+def _beta_ppf_bounds(k, n, confidence):
+    # the textbook form of the bounds, from scipy.stats, which the library does not import
+    from scipy.stats import beta
+
+    tail = (1.0 - confidence) / 2.0
+    with np.errstate(invalid="ignore"):
+        low = np.where(k == 0, 0.0, beta.ppf(tail, k, n - k + 1))
+        high = np.where(k == n, 1.0, beta.ppf(1.0 - tail, k + 1, n - k))
+    return low, high
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99, 0.999])
+def test_clopper_pearson_equals_beta_ppf(confidence):
+    # betaincinv and beta.ppf both invert the regularized incomplete beta function,
+    # so the bounds must agree to the last bit: every k at small R, a sample at large R
+    rng = np.random.default_rng(1934)
+    cases = [(n, np.arange(n + 1)) for n in (100, 101, 200, 1000, 2000, 4000, 16384, 32768)]
+    for n in (10**5, 10**6):
+        k = np.concatenate(([0, 1, 2, n - 2, n - 1, n], rng.integers(0, n + 1, 2000), rng.integers(0, 200, 500)))
+        cases.append((n, k))
+    for n, k in cases:
+        got = clopper_pearson(k, n, confidence)
+        want = _beta_ppf_bounds(k, n, confidence)
+        assert np.array_equal(got[0], want[0]), n
+        assert np.array_equal(got[1], want[1]), n
+    for ki in (0, 1, 17, 999, 1000):
+        assert clopper_pearson(ki, 1000, confidence) == tuple(map(float, _beta_ppf_bounds(ki, 1000, confidence)))
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats costs more to import than the rest of the program together
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, sumtails.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_clopper_pearson_array_errors():

@@ -8,6 +8,7 @@ from sumtails.errors import ConfigurationError, DomainError
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
     StreamKey,
+    _require_stream,
     pareto_one_sided,
     point_mass,
     sample,
@@ -211,11 +212,23 @@ def test_gamma_errors():
     with pytest.raises(ConfigurationError):
         gamma_n(pareto_one_sided(2.0), 2.0, 0)
     with pytest.raises(ConfigurationError):
-        gamma_n(d, 2.0, 5, mode="monte_carlo")
-    with pytest.raises(ConfigurationError):
-        gamma_n(d, 2.0, 5, mode="monte_carlo", R=10, key=KEY)
-    with pytest.raises(ConfigurationError):
         gamma_n(d, 2.0, 5, mode="quadrature")
+
+
+def test_gamma_monte_carlo_states_the_one_stream_rule():
+    # gamma_n raises what every Monte Carlo checker raises, from the one rule in sources
+    d = shifted(stable_symmetric(1.5), [1.0])
+    for R, key in ((50, KEY), (99, KEY), (None, KEY), (1000, None), (None, None)):
+        with pytest.raises(ConfigurationError) as got:
+            gamma_n(d, 2.0, 5, mode="monte_carlo", R=R, key=key)
+        with pytest.raises(ConfigurationError) as shared:
+            _require_stream(R, key)
+        assert str(got.value) == str(shared.value)
+    with pytest.raises(ConfigurationError, match=r"^Monte Carlo needs R >= 100, got 50$"):
+        gamma_n(d, 2.0, 5, mode="monte_carlo", R=50, key=KEY)
+    with pytest.raises(ConfigurationError, match=r"^Monte Carlo needs a StreamKey$"):
+        gamma_n(d, 2.0, 5, mode="monte_carlo", R=1000, key=None)
+    assert gamma_n(d, 2.0, 5, mode="monte_carlo", R=100, key=KEY).shape == (1,)
 
 
 def test_gamma_monte_carlo_reproducible():

@@ -82,6 +82,18 @@ MUTANTS = (
         "zero_success_mask", "estimator.py", "low = np.where(k == 0, 0.0,", "low = np.where(k < 0, 0.0,"
     ),
     Mutant("scalar_bounds_as_arrays", "estimator.py", "return float(low), float(high)", "return low, high"),
+    Mutant(
+        "upper_bound_at_lower_tail",
+        "estimator.py",
+        "betaincinv(k + 1, n - k, 1.0 - tail)",
+        "betaincinv(k + 1, n - k, tail)",
+    ),
+    Mutant(
+        "lower_bound_shape_off_by_one",
+        "estimator.py",
+        "betaincinv(k, n - k + 1, tail)",
+        "betaincinv(k, n - k, tail)",
+    ),
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
     Mutant("rescale_at_zero", "transforms.py", "positive = s > 0.0", "positive = s >= 0.0"),
@@ -123,6 +135,13 @@ MUTANTS = (
     ),
     # the single input rules
     Mutant("index_from_zero", "norming.py", "if not 1 <= n <= len(self):", "if not n <= len(self):"),
+    Mutant("stream_rule_r_floor", "sources.py", "if R is None or R < 100:", "if R is None or R < 10:"),
+    Mutant(
+        "huge_integer_overflows",
+        "cli.py",
+        "    except OverflowError:  # a JSON integer past the float64 range",
+        "    except ZeroDivisionError:",
+    ),
     Mutant(
         "exact_nan_counted",
         "suite.py",
