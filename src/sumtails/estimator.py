@@ -2,15 +2,18 @@
 
 Two regimes: exhaustive enumeration over all 2^n Rademacher sign
 patterns (n <= 20), and blocked Monte Carlo with exact Clopper-Pearson
-binomial intervals.  Replications are split into fixed-size blocks,
-each owning its own counter-based stream, so success counts do not
+binomial intervals.  Each block of replications owns a counter-based
+stream and workers add block results into running totals, so memory
+does not grow with the block count and the integer totals do not
 depend on the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -101,16 +104,16 @@ class TailEstimate:
         return cls(p, 0, 1, p, p, True)
 
 
-def enumerate_sign_norms(x, weights, space: SpaceSpec) -> np.ndarray:
-    """l_q norms of sum_i eps_i w_i x_i over all 2^n sign patterns.
+def enumerate_sign_norms(x, space: SpaceSpec) -> np.ndarray:
+    """l_q norms of sum_i eps_i x_i over all 2^n sign patterns.
 
     Pattern k assigns eps_i = +1 when bit i of k is set.  One (2^n, dim)
     buffer fills by doubling: the sums over the bits below i give those
-    with bit i set by adding c_i = w_i x_i and those with it clear by
-    subtracting c_i, about 2^(n+1) * dim additions in all.  Each sum adds
-    its terms in the order of i, and s - c == s + (-1 * c) exactly, so the
-    norms are bit-identical to adding eps_i * c_i term by term.  n is
-    capped at ENUMERATION_MAX_N.
+    with bit i set by adding x_i and those with it clear by subtracting
+    x_i, about 2^(n+1) * dim additions in all.  Each sum adds its terms
+    in the order of i, and s - x == s + (-1 * x) exactly, so the norms
+    are bit-identical to adding eps_i * x_i term by term.  Weights go
+    into x (w_i x_i).  n is capped at ENUMERATION_MAX_N.
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
@@ -120,29 +123,12 @@ def enumerate_sign_norms(x, weights, space: SpaceSpec) -> np.ndarray:
         raise ConfigurationError(
             f"n = {n} exceeds the 2^{ENUMERATION_MAX_N} enumeration budget; use Monte Carlo"
         )
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ConfigurationError(f"weights must have length {n}")
     sums = np.zeros((1 << n, space.dim))
     for i in range(n):
         h = 1 << i
-        c = w[i] * xa[i]
-        np.add(sums[:h], c, out=sums[h : 2 * h])
-        np.subtract(sums[:h], c, out=sums[:h])
+        np.add(sums[:h], xa[i], out=sums[h : 2 * h])
+        np.subtract(sums[:h], xa[i], out=sums[:h])
     return norms(sums, space)
-
-
-def _partition(R: int, block_size: int) -> list[tuple[int, int]]:
-    """Fixed (block_index, block_length) partition of R replications."""
-    blocks = []
-    start = 0
-    i = 0
-    while start < R:
-        m = min(block_size, R - start)
-        blocks.append((i, m))
-        start += m
-        i += 1
-    return blocks
 
 
 def _usable_cpus() -> int:
@@ -157,47 +143,53 @@ def _worker_count(threads: int, blocks: int, cpus: int) -> int:
     return max(1, min(threads, blocks, cpus))
 
 
-def mc_counts(
-    block_fn,
-    R: int,
-    key: StreamKey,
-    *,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
-) -> dict[str, np.ndarray]:
-    """Accumulate integer count arrays over deterministic blocks.
+def _add(total, part) -> tuple:
+    """Elementwise sum of two block results; None is the empty total."""
+    return tuple(part) if total is None else tuple(t + p for t, p in zip(total, part))
 
-    block_fn(rng, m) evaluates m replications and returns a dict of
-    integer arrays; the dicts are summed over blocks.  Block i draws
-    from key.child(i), so the totals are invariant under the
-    thread count and the block execution order.  Blocks run on up to
-    `threads` worker threads, never more than there are blocks or
-    usable CPUs; with one worker they run serially in the caller.
+
+def mc_counts(
+    block_fn, R: int, key: StreamKey, *, block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1
+) -> tuple:
+    """Elementwise sums of block_fn(rng, m) over the blocks of R replications.
+
+    block_fn returns a tuple of int64 arrays or ints.  Block i holds
+    min(block_size, R - i * block_size) replications and draws from
+    key.child(i).  Each worker claims the next index from one shared
+    counter and adds the block's result into its one running total, so
+    memory does not grow with the number of blocks.  Integer addition
+    is exact and order-free, so the sums cannot depend on the thread
+    count or on which worker ran which block.  Up to `threads` workers
+    run, never more than the blocks or usable CPUs; one runs in the
+    caller.  A raising block stops every worker at its next claim.
     """
     if R < 1:
         raise ConfigurationError(f"R must be >= 1, got {R}")
     if block_size < 1:
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    blocks = _partition(R, block_size)
+    blocks = -(-R // block_size)
+    lock = threading.Lock()
+    claimed = 0
 
-    def run_block(args):
-        i, m = args
-        rng = key.child(i).generator()
-        return block_fn(rng, m)
+    def work():
+        nonlocal claimed
+        total = None
+        while True:
+            with lock:
+                i, claimed = claimed, claimed + 1
+            if i >= blocks:
+                return total
+            rng = key.child(i).generator()
+            try:
+                total = _add(total, block_fn(rng, min(block_size, R - i * block_size)))
+            except BaseException:
+                with lock:
+                    claimed = blocks
+                raise
 
-    workers = _worker_count(threads, len(blocks), _usable_cpus())
+    workers = _worker_count(threads, blocks, _usable_cpus())
     if workers == 1:
-        results = map(run_block, blocks)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_block, blocks))
-    totals: dict[str, np.ndarray] = {}
-    for res in results:
-        for name, arr in res.items():
-            a = np.asarray(arr, dtype=np.int64)
-            if name in totals:
-                totals[name] += a
-            else:
-                totals[name] = a.copy()
-    return totals
-
+        return work()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        parts = [f.result() for f in [pool.submit(work) for _ in range(workers)]]
+    return functools.reduce(_add, [p for p in parts if p is not None])

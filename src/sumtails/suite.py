@@ -204,12 +204,11 @@ def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
             c, s_nan = _counts_per_threshold(s, thresholds)
             counts.append(c)
             nan += s_nan
-        return {"counts": np.array(counts), "extra": np.array(extra, dtype=np.int64), "nan": nan}
+        return np.array(counts), np.array(extra, dtype=np.int64), nan
 
-    totals = mc_counts(block, R, key, block_size=block_size, threads=threads)
-    counts = totals["counts"]
-    _refuse_nan(int(totals["nan"]), len(counts) * R, name, "Monte Carlo")
-    return counts, totals["extra"]
+    counts, extra, nan = mc_counts(block, R, key, block_size=block_size, threads=threads)
+    _refuse_nan(nan, len(counts) * R, name, "Monte Carlo")
+    return counts, extra
 
 
 def _report_config(space: SpaceSpec, d: DistributionSpec | None = None, **fields) -> dict:
@@ -281,6 +280,7 @@ def check_thm11_i(
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
     a_n, b_n = fp.pair.at(n)
+    _require_ratio_monotone(fp.pair)
     xnorms = norms(xa, space)
     bad = np.nonzero(xnorms > b_n)[0]
     if bad.size:
@@ -293,8 +293,8 @@ def check_thm11_i(
     config = _report_config(space, n=n, a_n=a_n, b_n=b_n, mode=mode)
 
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg * b_n)
-        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, None, space), tg * a_n)
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg * b_n)
+        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, space), tg * a_n)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
@@ -330,19 +330,26 @@ def check_contraction(
         raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
     tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
     config = _report_config(space, n=n, mode=mode)
+    wx = w[:, None] * xa
 
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, w, space), tg)
-        rhs = _counts_per_threshold(enumerate_sign_norms(xa, None, space), tg)
+        lhs = _counts_per_threshold(enumerate_sign_norms(wx, space), tg)
+        rhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
         signs = _random_signs(rng, (m, n))
-        return norms(signs @ (w[:, None] * xa), space), norms(signs @ xa, space)
+        return norms(signs @ wx, space), norms(signs @ xa, space)
 
     return _compare(
         "contraction", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
     )
+
+
+def _require_ratio_monotone(pair: NormingPair) -> None:
+    """Every comparison and the weak-law diagnostic assume b_n / a_n nondecreasing."""
+    if not check_ratio_monotone(pair):
+        raise ConfigurationError("b_n / a_n must be nondecreasing")
 
 
 def _require_extension_safe(fp: FunctionPair) -> None:
@@ -352,8 +359,7 @@ def _require_extension_safe(fp: FunctionPair) -> None:
     1 / fp.slope_ratio, so that limit must not lie below b_N / a_N.
     """
     pair = fp.pair
-    if not check_ratio_monotone(pair):
-        raise ConfigurationError("b_n / a_n must be nondecreasing")
+    _require_ratio_monotone(pair)
     if fp.slope_ratio * pair.b[-1] > (1.0 + 1e-12) * pair.a[-1]:
         raise ConfigurationError(
             "the continuation of the norming pair past N would make b/a decrease;"
@@ -601,8 +607,7 @@ def _wlln(
     _require_stream(R, key)
     if criterion_R < 1:
         raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")
-    if not check_ratio_monotone(pair):
-        raise ConfigurationError("b_n / a_n must be nondecreasing")
+    _require_ratio_monotone(pair)
     grid = _default_n_grid(len(pair)) if n_grid is None else _validate_n_grid(n_grid)
     b_at = [pair.at(n)[1] for n in grid]
     lam = _as_grid(lambda_grid, "lambda_grid")

@@ -166,6 +166,13 @@ def test_construct_explicit_norming(tmp_path):
     assert [r[1] for r in rows[1:]] == ["1", "1.5"]
 
 
+def test_thm11_i_decreasing_ratio_exits_2(tmp_path, capsys):
+    cfg = dict(THM11_I_CFG, norming={"kind": "explicit", "a": [1.0, 4.0, 5.0], "b": [2.0, 3.0, 4.0]})
+    p = _write_json(tmp_path / "thm11_i.json", cfg)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == "error: b_n / a_n must be nondecreasing"
+
+
 def test_wlln_rows(tmp_path):
     out = tmp_path / "w"
     assert cli.run(WLLN_CFG, out=str(out)) == 0

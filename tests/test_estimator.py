@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from sumtails.estimator import (
     enumerate_sign_norms,
     mc_counts,
 )
+from sumtails import estimator
 from sumtails.estimator import _worker_count
 from sumtails.sources import StreamKey
 from sumtails.space import SpaceSpec, norm, norms
@@ -28,9 +31,9 @@ KEY = StreamKey(90210)
 def _mc_estimate(event, R, threads=1):
     # Monte Carlo P(event) through mc_counts with a block_fn of its own
     def block_fn(rng, m):
-        return {"hits": np.array([np.count_nonzero(event(rng, m))])}
+        return (np.count_nonzero(event(rng, m)),)
 
-    hits = int(mc_counts(block_fn, R, KEY, threads=threads)["hits"][0])
+    (hits,) = mc_counts(block_fn, R, KEY, threads=threads)
     return TailEstimate.from_counts(hits, R)
 
 
@@ -175,18 +178,18 @@ def test_tail_estimate_invariants():
 
 def test_enumeration_tiny_cases():
     sp = SpaceSpec(1, 2)
-    nv = enumerate_sign_norms([[1.0]], None, sp)
+    nv = enumerate_sign_norms([[1.0]], sp)
     assert nv.tolist() == [1.0, 1.0]
-    nv = enumerate_sign_norms([[1.0], [1.0]], None, sp)
+    nv = enumerate_sign_norms([[1.0], [1.0]], sp)
     assert sorted(nv.tolist()) == [0.0, 0.0, 2.0, 2.0]
-    # weighted: |eps_1 + 2 eps_2| over four patterns
-    nv = enumerate_sign_norms([[1.0], [1.0]], [1.0, 2.0], sp)
+    # weights (1, 2) times x = (1, 1): |eps_1 + 2 eps_2| over four patterns
+    nv = enumerate_sign_norms([[1.0], [2.0]], sp)
     assert sorted(nv.tolist()) == [1.0, 1.0, 3.0, 3.0]
 
 
 def test_exact_tail_values():
     # |eps_1 + eps_2| is 0, 0, 2, 2; a norm equal to t does not exceed it
-    nv = enumerate_sign_norms([[1.0], [1.0]], None, SpaceSpec(1, 2))
+    nv = enumerate_sign_norms([[1.0], [1.0]], SpaceSpec(1, 2))
     assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0])[0].tolist() == [2, 4, 0, 2]
 
 
@@ -194,7 +197,7 @@ def test_exact_tail_zero_beyond_total_mass():
     sp = SpaceSpec(2, 1)
     x = [[1.0, 2.0], [0.5, -0.5], [3.0, 0.0]]
     total = sum(norm(np.array(v), sp) for v in x)
-    assert _counts_per_threshold(enumerate_sign_norms(x, None, sp), [total])[0].tolist() == [0]
+    assert _counts_per_threshold(enumerate_sign_norms(x, sp), [total])[0].tolist() == [0]
 
 
 def test_enumeration_against_product_oracle():
@@ -206,7 +209,7 @@ def test_enumeration_against_product_oracle():
         sp = SpaceSpec(dim, q)
         x = rng.standard_normal((n, dim))
         w = rng.uniform(-1.5, 1.5, n)
-        got = np.sort(enumerate_sign_norms(x, w, sp))
+        got = np.sort(enumerate_sign_norms(w[:, None] * x, sp))
         want = []
         for signs in itertools.product((-1.0, 1.0), repeat=n):
             s = np.zeros(dim)
@@ -216,17 +219,16 @@ def test_enumeration_against_product_oracle():
         assert got == pytest.approx(np.sort(want), rel=1e-12, abs=1e-12)
 
 
-def _per_bit_sign_norms(x, weights, space):
+def _per_bit_sign_norms(x, space):
     # reference: one pass per summand over all 2^n patterns, adding
-    # eps_i * (w_i x_i) to the accumulator term by term
+    # eps_i * x_i to the accumulator term by term
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
     patterns = np.arange(1 << n, dtype=np.int64)
     sums = np.zeros((1 << n, space.dim))
     for i in range(n):
         eps = np.where((patterns >> i) & 1 == 1, 1.0, -1.0)
-        sums += eps[:, None] * (w[i] * xa[i])
+        sums += eps[:, None] * xa[i]
     return norms(sums, space)
 
 
@@ -239,9 +241,10 @@ def test_enumeration_matches_per_bit_loop_exactly():
                 sp = SpaceSpec(dim, q)
                 x = rng.standard_normal((n, dim))
                 x[rng.random((n, dim)) < 0.2] = -0.0
-                for w in (None, rng.uniform(-1.5, 1.5, n)):
-                    got = enumerate_sign_norms(x, w, sp)
-                    assert np.array_equal(got, _per_bit_sign_norms(x, w, sp)), (n, dim, q)
+                # unweighted, then pre-multiplied by weights as check_contraction does
+                for xw in (x, rng.uniform(-1.5, 1.5, n)[:, None] * x):
+                    got = enumerate_sign_norms(xw, sp)
+                    assert np.array_equal(got, _per_bit_sign_norms(xw, sp)), (n, dim, q)
 
 
 def test_enumeration_scale_equivariance():
@@ -250,19 +253,17 @@ def test_enumeration_scale_equivariance():
     x = rng.standard_normal((6, 3))
     for c in (0.25, 7.0):
         t = 1.37  # no pattern lands exactly on the boundary
-        a, _ = _counts_per_threshold(enumerate_sign_norms(x, None, sp), [t])
-        b, _ = _counts_per_threshold(enumerate_sign_norms(c * x, None, sp), [c * t])
+        a, _ = _counts_per_threshold(enumerate_sign_norms(x, sp), [t])
+        b, _ = _counts_per_threshold(enumerate_sign_norms(c * x, sp), [c * t])
         assert a.tolist() == b.tolist()
 
 
 def test_enumeration_errors():
     sp = SpaceSpec(1, 2)
     with pytest.raises(ConfigurationError, match="enumeration budget"):
-        enumerate_sign_norms(np.ones((ENUMERATION_MAX_N + 1, 1)), None, sp)
-    with pytest.raises(ConfigurationError, match="weights"):
-        enumerate_sign_norms([[1.0]], [1.0, 2.0], sp)
+        enumerate_sign_norms(np.ones((ENUMERATION_MAX_N + 1, 1)), sp)
     with pytest.raises(ConfigurationError, match="dim"):
-        enumerate_sign_norms([[1.0, 2.0]], None, sp)
+        enumerate_sign_norms([[1.0, 2.0]], sp)
 
 
 def test_mc_tail_trivial_events():
@@ -290,28 +291,87 @@ def test_mc_counts_partition_is_by_replication_index():
     # block i must draw from key.replication(i)
     def block_fn(rng, m):
         first = rng.random()
-        return {"first_bits": np.array([int(first * 2**30)])}
+        return (np.array([int(first * 2**30)]),)
 
-    totals = mc_counts(block_fn, 2 * DEFAULT_BLOCK_SIZE, KEY)
+    (first_bits,) = mc_counts(block_fn, 2 * DEFAULT_BLOCK_SIZE, KEY)
     expect = 0
     for i in range(2):
         expect += int(KEY.replication(i).generator().random() * 2**30)
-    assert int(totals["first_bits"][0]) == expect
+    assert int(first_bits[0]) == expect
 
 
 def test_mc_counts_blocks_of_a_replication_key_draw_from_its_children():
     # under a parent with a nonzero replication index, block i draws from
     # key.child(i), so distinct replications give distinct totals
     def block_fn(rng, m):
-        return {"first_bits": np.array([int(rng.random() * 2**30)])}
+        return (int(rng.random() * 2**30),)
 
     totals = {}
     for r in (1, 2):
         parent = KEY.replication(r)
-        totals[r] = int(mc_counts(block_fn, 2 * DEFAULT_BLOCK_SIZE, parent)["first_bits"][0])
+        (totals[r],) = mc_counts(block_fn, 2 * DEFAULT_BLOCK_SIZE, parent)
         expect = sum(int(parent.child(i).generator().random() * 2**30) for i in range(2))
         assert totals[r] == expect
     assert totals[1] != totals[2]
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("R, threads", [(10**6, 1), (2 * 10**4, 2)])
+def test_mc_counts_memory_does_not_grow_with_the_block_count(monkeypatch, R, threads):
+    # R blocks of one replication each; the fourth block raises, so a run that
+    # lists every block or submits one future per block up front shows in the peak
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    lock = threading.Lock()
+    calls = 0
+
+    def block_fn(rng, m):
+        nonlocal calls
+        with lock:
+            calls += 1
+            if calls > 3:
+                raise _Stop
+        return (np.array([m]), m)
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(_Stop):
+            mc_counts(block_fn, R, KEY, block_size=1, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert calls <= 3 + threads  # a raising block stops every worker at its next claim
+
+
+def test_mc_counts_totals_under_uneven_claiming(monkeypatch):
+    # 1000 replications in blocks of 128: seven full blocks and one of 104,
+    # claimed by 1, 2 or 3 workers in whatever order the threads reach the
+    # counter; a short switch interval makes a lost claim update likely to show
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 8)
+    lengths = []
+
+    def block_fn(rng, m):
+        lengths.append(m)
+        u = rng.random(m)
+        return np.array([m, np.count_nonzero(u < 0.3)]), int(u[0] * 2**30)
+
+    expect_first = sum(int(KEY.child(i).generator().random() * 2**30) for i in range(8))
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (1, 2, 3):
+            lengths.clear()
+            counts, first = mc_counts(block_fn, 1000, KEY, block_size=128, threads=threads)
+            assert sorted(lengths) == [104] + [128] * 7
+            assert counts[0] == 1000 and first == expect_first
+            results.append(counts.tolist())
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
 
 
 def test_worker_count_is_bounded_by_blocks_and_cpus():
@@ -326,9 +386,9 @@ def test_worker_count_is_bounded_by_blocks_and_cpus():
 
 def test_mc_errors():
     with pytest.raises(ConfigurationError):
-        mc_counts(lambda rng, m: {}, 0, KEY)
+        mc_counts(lambda rng, m: (), 0, KEY)
     with pytest.raises(ConfigurationError):
-        mc_counts(lambda rng, m: {}, 10, KEY, block_size=0)
+        mc_counts(lambda rng, m: (), 10, KEY, block_size=0)
 
 
 def test_clopper_pearson_coverage():

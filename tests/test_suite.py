@@ -83,6 +83,16 @@ def test_thm11_i_too_many_vectors():
         check_thm11_i(np.ones((17, 1)) * 0.1, SQRT_PAIR, sp)
 
 
+def test_thm11_i_rejects_a_decreasing_ratio():
+    # b/a falls from 2 to 0.75; the comparison assumes it nondecreasing, yet
+    # without the rule half the rows of this input read "violated"
+    bad = build_function_pair(NormingPair(a=[1.0, 4.0], b=[2.0, 3.0]))
+    with pytest.raises(ConfigurationError, match="b_n / a_n must be nondecreasing"):
+        check_thm11_i([[0.5], [1.0]], bad, SpaceSpec(1, 2))
+    with pytest.raises(ConfigurationError, match="b_n / a_n must be nondecreasing"):
+        check_thm11_i([[0.5], [1.0]], bad, SpaceSpec(1, 2), mode="mc", R=1000, key=KEY)
+
+
 def test_thm11_i_mode_errors():
     sp = SpaceSpec(1, 2)
     with pytest.raises(ConfigurationError, match="mode"):

@@ -7,11 +7,14 @@ For each, the runner copies src/, tests/ and pyproject.toml into a
 temporary directory, applies the replacement there, runs the fast test
 subset (every test file but the acceptance gate, without the
 console-script test, stopping at the first failure) and prints "killed"
-when a test fails or "survived" when all pass.  An unmutated run goes
-first and must pass, and a replacement whose text does not occur exactly
-once is an error, so a stale mutant can never count as killed.  Every
-mutant runs each time, so the printed score always means the same
-thing; the exit code is 0 when every one was killed.
+when a test fails or "survived" when all pass.  A mutant that makes the
+subset run longer than four times the unmutated run plus 30 s (a loop
+that never ends, say) counts as killed; its whole process group is
+killed with it.  An unmutated run goes first and must pass, and a
+replacement whose text does not occur exactly once is an error, so a
+stale mutant can never count as killed.  Every mutant runs each time,
+so the printed score always means the same thing; the exit code is 0
+when every one was killed.
 
 The technique is DeMillo, Lipton & Sayward, "Hints on test data
 selection" (IEEE Computer, 1978).
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -97,6 +101,13 @@ MUTANTS = (
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
     Mutant("rescale_at_zero", "transforms.py", "positive = s > 0.0", "positive = s >= 0.0"),
+    Mutant("contraction_weights_dropped", "suite.py", "    wx = w[:, None] * xa\n", "    wx = xa\n"),
+    Mutant(
+        "thm11_i_ratio_unchecked",
+        "suite.py",
+        "    a_n, b_n = fp.pair.at(n)\n    _require_ratio_monotone(fp.pair)\n",
+        "    a_n, b_n = fp.pair.at(n)\n",
+    ),
     Mutant(
         "continuation_unchecked",
         "suite.py",
@@ -133,6 +144,19 @@ MUTANTS = (
         'key = StreamKey(cfg["seed"], i).child(0)',
         'key = StreamKey(cfg["seed"] + i)',
     ),
+    # the block claims
+    Mutant(
+        "last_block_full_length",
+        "estimator.py",
+        "block_fn(rng, min(block_size, R - i * block_size))",
+        "block_fn(rng, min(block_size, block_size))",
+    ),
+    Mutant(
+        "claim_never_advances",
+        "estimator.py",
+        "i, claimed = claimed, claimed + 1",
+        "i, claimed = claimed, claimed",
+    ),
     # the single input rules
     Mutant("index_from_zero", "norming.py", "if not 1 <= n <= len(self):", "if not n <= len(self):"),
     Mutant("stream_rule_r_floor", "sources.py", "if R is None or R < 100:", "if R is None or R < 10:"),
@@ -160,14 +184,22 @@ MUTANTS = (
 )
 
 
-def run_tests(tree: Path) -> bool:
-    """True when the fast subset passes in tree."""
+def run_tests(tree: Path, timeout: float | None = None) -> str:
+    """'passed', 'failed' or 'timed out': the fast subset's outcome in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     cmd += [f"tests/{name}" for name in FAST_TESTS]
     cmd += [arg for test in DESELECT for arg in ("--deselect", test)]
-    done = subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return done.returncode == 0
+    # a session of its own, so a timeout also stops the subprocesses the tests start
+    proc = subprocess.Popen(
+        cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, start_new_session=True
+    )
+    try:
+        return "passed" if proc.wait(timeout=timeout) == 0 else "failed"
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        return "timed out"
 
 
 def copy_tree(dest: Path) -> None:
@@ -191,19 +223,22 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         copy_tree(base)
-        if not run_tests(base):
+        started = time.perf_counter()
+        if run_tests(base) != "passed":
             print("the unmutated tree fails the fast subset; no mutant can be judged")
             return 2
+        timeout = 4 * (time.perf_counter() - started) + 30
         survivors = []
         for m, text in zip(MUTANTS, texts):
             tree = Path(tmp) / m.name
             copy_tree(tree)
             (tree / "src" / "sumtails" / m.path).write_text(text)
             started = time.perf_counter()
-            killed = not run_tests(tree)
+            outcome = run_tests(tree, timeout)
             seconds = time.perf_counter() - started
-            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}  ({seconds:.0f} s)", flush=True)
-            if not killed:
+            verdict = {"passed": "SURVIVED", "failed": "killed", "timed out": "killed (timed out)"}[outcome]
+            print(f"{verdict}  {m.name}  ({seconds:.0f} s)", flush=True)
+            if outcome == "passed":
                 survivors.append(m.name)
             shutil.rmtree(tree)
     print(f"mutation score: {len(MUTANTS) - len(survivors)} of {len(MUTANTS)} killed")
