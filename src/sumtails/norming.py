@@ -43,6 +43,16 @@ def _as_increasing(seq, name: str) -> np.ndarray:
             f"{name} must be strictly increasing; {name}[{k + 2}] = {arr[k + 1]}"
             f" does not exceed {name}[{k + 1}] = {arr[k]}"
         )
+    # the inverse map's slopes are 1 / (gap between neighbours, from 0 on)
+    with np.errstate(divide="ignore", over="ignore"):
+        steep = ~np.isfinite(1.0 / np.diff(arr, prepend=0.0))
+    if np.any(steep):
+        k = int(np.argmax(steep))
+        below = f"{name}[{k}] = {arr[k - 1]}" if k else "0"
+        raise DomainError(
+            f"{name}[{k + 1}] = {arr[k]} lies too close to {below}:"
+            " the inverse slope over that gap overflows"
+        )
     return arr
 
 
@@ -94,23 +104,37 @@ def power_pair(n_max: int, exp_a: float, exp_b: float = 1.0) -> NormingPair:
     return NormingPair(a=n**exp_a, b=n**exp_b)
 
 
-def _last_slope(xs: np.ndarray, ys: np.ndarray) -> float:
-    """The slope of the final segment, which the continuation keeps past the last knot."""
-    return (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+class _Segments:
+    """The piecewise-linear map through the knots (xs, ys), as np.interp computes it.
 
+    A point x in segment j, xs[j] <= x < xs[j + 1], maps to
+    slope[j] * (x - xs[j]) + ys[j] with slope[j] = (ys[j + 1] - ys[j]) /
+    (xs[j + 1] - xs[j]): the two operations np.interp makes, in its order,
+    so each value equals np.interp's bit for bit.  Index N = xs.size - 1
+    holds the last slope again, so x = xs[N] gives ys[N] and a point past
+    the last knot continues the final segment.  Only the way j is found
+    differs from np.interp's binary search: on the knots 0, 1, ..., N it
+    is min(floor(x), N), on any other grid np.searchsorted.
+    """
 
-def _interp_extend(t: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    # np.interp is exact at knots; past the last knot continue the final
-    # segment, computed only on the (usually few) entries out there
-    out = np.interp(t, xs, ys)
-    last = xs[-1]
-    over = t > last
-    if np.any(over):
-        slope = _last_slope(xs, ys)
-        if out.ndim == 0:
-            return ys[-1] + (t - last) * slope
-        out[over] = ys[-1] + (t[over] - last) * slope
-    return out
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        slopes = (ys[1:] - ys[:-1]) / (xs[1:] - xs[:-1])
+        self.xs, self.ys, self.slopes = xs, ys, np.append(slopes, slopes[-1])
+        self.integer_knots = bool(np.array_equal(xs, np.arange(xs.size)))
+
+    def _segment(self, x: np.ndarray) -> np.ndarray:
+        """j with xs[j] <= x < xs[j + 1], or N at and past the last knot."""
+        if self.integer_knots:
+            return np.fmin(x, self.xs.size - 1).astype(np.intp)
+        return np.searchsorted(self.xs, x, side="right") - 1
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1)
+        j = self._segment(flat)
+        out = self.slopes.take(j)
+        out *= flat - self.xs.take(j)
+        out += self.ys.take(j)
+        return out.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -118,44 +142,49 @@ class FunctionPair:
     """phi and psi, the piecewise-linear interpolants of a norming pair.
 
     knots = (0, 1, ..., N); a_grid = (0, a_1, ..., a_N) and likewise
-    b_grid, so evaluation is np.interp against these arrays.
+    b_grid.  Each of phi, psi and their inverses is a _Segments map over
+    these arrays, built once here: it equals np.interp bit for bit on
+    [0, last knot] and continues the last segment past it.
     """
 
     pair: NormingPair
     knots: np.ndarray = field(repr=False)
     a_grid: np.ndarray = field(repr=False)
     b_grid: np.ndarray = field(repr=False)
+    _maps: dict = field(init=False, repr=False, compare=False)
 
-    def _eval(self, t, grid: np.ndarray, name: str):
+    def __post_init__(self):
+        maps = {
+            "phi": _Segments(self.knots, self.a_grid),
+            "psi": _Segments(self.knots, self.b_grid),
+            "phi_inverse": _Segments(self.a_grid, self.knots),
+            "psi_inverse": _Segments(self.b_grid, self.knots),
+        }
+        object.__setattr__(self, "_maps", maps)
+
+    def _eval(self, t, name: str):
         tv = np.asarray(t, dtype=float)
-        if np.any(tv < 0):
-            raise DomainError(f"{name} is defined on [0, inf)")
-        out = _interp_extend(tv, self.knots, grid)
+        if (tv < 0).any():
+            raise DomainError(f"{name} takes nonnegative arguments")
+        out = self._maps[name](tv)
         return float(out) if np.isscalar(t) else out
 
-    def _eval_inverse(self, s, grid: np.ndarray, name: str):
-        sv = np.asarray(s, dtype=float)
-        if np.any(sv < 0):
-            raise DomainError(f"{name} takes nonnegative arguments")
-        out = _interp_extend(sv, grid, self.knots)
-        return float(out) if np.isscalar(s) else out
-
     def phi(self, t):
-        return self._eval(t, self.a_grid, "phi")
+        return self._eval(t, "phi")
 
     def psi(self, t):
-        return self._eval(t, self.b_grid, "psi")
+        return self._eval(t, "psi")
 
     def phi_inverse(self, s):
-        return self._eval_inverse(s, self.a_grid, "phi_inverse")
+        return self._eval(s, "phi_inverse")
 
     def psi_inverse(self, s):
-        return self._eval_inverse(s, self.b_grid, "psi_inverse")
+        return self._eval(s, "psi_inverse")
 
     @property
     def slope_ratio(self) -> float:
         """phi's slope over psi's past the last knot, the limit of phi(psi_inverse(s)) / s."""
-        return float(_last_slope(self.knots, self.a_grid) / _last_slope(self.knots, self.b_grid))
+        return float(self._maps["phi"].slopes[-1] / self._maps["psi"].slopes[-1])
 
     def ratio(self, t):
         """psi(t) / phi(t), with the limit value b_1 / a_1 at t = 0."""
@@ -167,7 +196,7 @@ class FunctionPair:
             out = np.where(
                 tv == 0.0,
                 limit,
-                self._eval(tv, self.b_grid, "psi") / self._eval(tv, self.a_grid, "phi"),
+                self._eval(tv, "psi") / self._eval(tv, "phi"),
             )
         return float(out) if np.isscalar(t) else out
 

@@ -300,7 +300,8 @@ def _sphere_directions(rng: np.random.Generator, shape, space: SpaceSpec) -> np.
         g = rng.standard_gamma(1.0 / q, full) ** (1.0 / q) * _random_signs(rng, full)
     scale = norms(g, space)[..., None]
     scale[scale == 0.0] = 1.0
-    return g / scale
+    g /= scale
+    return g
 
 
 def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
@@ -327,7 +328,9 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
         mag = _pareto_tail(d.alpha, rng.random(shape))
     else:
         mag = np.abs(_scalar_draws(d, rng, shape))
-    return mag[..., None] * _sphere_directions(rng, shape, d.space)
+    dirs = _sphere_directions(rng, shape, d.space)
+    dirs *= mag[..., None]
+    return dirs
 
 
 def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:

@@ -399,8 +399,8 @@ def check_thm11_ii(
         v = draw(d, rng, (m, n))
         nv = norms(v, space)
         s_l = norms(v.sum(axis=1), space) / b_n
-        t_vecs = v * rescale_factors(nv, fp)[..., None]
-        s_r = norms(t_vecs.sum(axis=1), space) / a_n
+        v *= rescale_factors(nv, fp)[..., None]  # now the rescaled T_i
+        s_r = norms(v.sum(axis=1), space) / a_n
         return s_l, s_r, int((nv > b_n).sum())
 
     def tail(exceed):

@@ -86,6 +86,10 @@ def rescale(v, ctx: TransformContext) -> np.ndarray:
     return a * (out_norm / nv)
 
 
+# elements per rescale_factors slice: a slice's temporaries stay in cache
+_RESCALE_SLICE = 1 << 14
+
+
 def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     """Batched multipliers phi(psi_inverse(s))/s with 0 -> 0.
 
@@ -93,22 +97,28 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     segment, which is how the experiment suite keeps the transform
     total on unbounded laws.  An infinite norm (a float64 overflow)
     takes the continuation's limit, fp.slope_ratio, so the rescaled
-    vector stays infinite instead of becoming NaN.
+    vector stays infinite instead of becoming NaN.  The norms go
+    through fp.psi_inverse and fp.phi in slices of _RESCALE_SLICE
+    elements; every step is elementwise, so the slicing changes no value.
     """
     s = np.asarray(norm_values, dtype=float)
-    out_norm = fp.phi(fp.psi_inverse(s))
-    out = np.zeros(s.shape)
-    positive = s > 0.0
-    try:
-        with np.errstate(invalid="raise"):
-            np.divide(out_norm, s, out=out, where=positive)
-    except FloatingPointError:
-        # inf / inf is the only invalid division here, so finite norms
-        # pay no extra pass for this overflow case
-        with np.errstate(invalid="ignore"):
-            np.divide(out_norm, s, out=out, where=positive)
-        out[s == np.inf] = fp.slope_ratio
-    return out
+    flat = s.reshape(-1)
+    out = np.zeros(flat.shape)
+    for start in range(0, flat.size, _RESCALE_SLICE):
+        part = flat[start : start + _RESCALE_SLICE]
+        into = out[start : start + _RESCALE_SLICE]
+        out_norm = fp.phi(fp.psi_inverse(part))
+        positive = part > 0.0
+        try:
+            with np.errstate(invalid="raise"):
+                np.divide(out_norm, part, out=into, where=positive)
+        except FloatingPointError:
+            # inf / inf is the only invalid division here, so finite norms
+            # pay no extra pass for this overflow case
+            with np.errstate(invalid="ignore"):
+                np.divide(out_norm, part, out=into, where=positive)
+            into[part == np.inf] = fp.slope_ratio
+    return out.reshape(s.shape)
 
 
 def _default_space(v: np.ndarray, space: SpaceSpec | None) -> SpaceSpec:

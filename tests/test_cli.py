@@ -166,6 +166,18 @@ def test_construct_explicit_norming(tmp_path):
     assert [r[1] for r in rows[1:]] == ["1", "1.5"]
 
 
+def test_explicit_norming_too_close_exits_2(tmp_path, capsys):
+    cfg = {
+        "schema_version": 1,
+        "experiment": "construct",
+        "norming": {"kind": "explicit", "a": [1e-310, 2e-310], "b": [3e-310, 4e-310]},
+    }
+    p = _write_json(tmp_path / "close.json", cfg)
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "a[1] = 1e-310 lies too close to 0: the inverse slope over that gap overflows" in err
+
+
 def test_thm11_i_decreasing_ratio_exits_2(tmp_path, capsys):
     cfg = dict(THM11_I_CFG, norming={"kind": "explicit", "a": [1.0, 4.0, 5.0], "b": [2.0, 3.0, 4.0]})
     p = _write_json(tmp_path / "thm11_i.json", cfg)

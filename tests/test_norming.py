@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,30 @@ from sumtails.norming import (
     check_ratio_monotone,
     power_pair,
 )
-from sumtails.norming import _interp_extend
+from sumtails.transforms import rescale_factors
+
+
+def _interp_extend(t, xs, ys):
+    # the reference: np.interp, then the last segment continued past the
+    # last knot, computed only on the entries out there
+    out = np.interp(t, xs, ys)
+    last = xs[-1]
+    over = t > last
+    if np.any(over):
+        slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+        if out.ndim == 0:
+            return ys[-1] + (t - last) * slope
+        out[over] = ys[-1] + (t[over] - last) * slope
+    return out
+
+
+def _warned(f, *args):
+    # f's result and the RuntimeWarnings it raised; numpy words an
+    # operation on a 0-d array as a "scalar" one, which is the same event
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {str(w.message).replace("scalar ", "") for w in caught if issubclass(w.category, RuntimeWarning)}
 
 
 def random_valid_pair(rng, n):
@@ -30,6 +55,24 @@ def test_pair_validation():
         NormingPair(a=[1.0, 2.0], b=[1.0])
     with pytest.raises(DomainError):
         NormingPair(a=[1.0, np.inf], b=[1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "close, message",
+    [
+        ([1e-310, 2e-310], r"{0}\[1\] = 1e-310 lies too close to 0:"),
+        ([2e-300, 2e-300 + 1e-309], r"{0}\[2\] = .* lies too close to {0}\[1\] = 2e-300:"),
+    ],
+)
+def test_pair_with_an_overflowing_inverse_slope_is_refused(close, message):
+    # a gap below 2^-1024 has no finite reciprocal, so the inverse map
+    # would compute inf * 0 = NaN at the knots; the check raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message.format("a") + " the inverse slope over that gap overflows"):
+            NormingPair(a=close, b=[3.0, 4.0])
+        with pytest.raises(DomainError, match=message.format("b")):
+            NormingPair(a=[3.0, 4.0], b=close)
 
 
 def test_violating_index_is_named():
@@ -119,6 +162,81 @@ def test_interp_extend_matches_the_full_array_continuation():
     assert np.array_equal(_interp_extend(t[inside], xs, ys), want[inside])
     for i in (np.flatnonzero(inside)[0], np.flatnonzero(~inside)[0]):
         assert _interp_extend(np.asarray(t[i]), xs, ys) == want[i]
+
+
+# power pairs take the integer locator on the knots 0..N and on b_n = n,
+# and np.searchsorted on a_n = n^(1/2), n^(1/3), b_n = n^(2/3) and on the
+# doubling grid b_n = 2^n
+SEGMENT_PAIRS = {
+    "sqrt": power_pair(256, 0.5, 1.0),
+    "identity": power_pair(256, 1.0, 1.0),
+    "cube_root": power_pair(256, 1.0 / 3.0, 2.0 / 3.0),
+    "one_knot": power_pair(1, 0.5, 1.0),
+    "doubling": NormingPair(a=2.0 ** np.arange(1, 61) / 3.0, b=2.0 ** np.arange(1, 61)),
+}
+
+
+def _maps(fp):
+    return {
+        "phi": (fp.phi, fp.knots, fp.a_grid),
+        "psi": (fp.psi, fp.knots, fp.b_grid),
+        "phi_inverse": (fp.phi_inverse, fp.a_grid, fp.knots),
+        "psi_inverse": (fp.psi_inverse, fp.b_grid, fp.knots),
+    }
+
+
+def test_locators_cover_every_path():
+    maps = {name: build_function_pair(pair)._maps for name, pair in SEGMENT_PAIRS.items()}
+    assert all(maps[name][m].integer_knots for name in maps for m in ("phi", "psi"))
+    assert maps["sqrt"]["psi_inverse"].integer_knots and maps["identity"]["phi_inverse"].integer_knots
+    assert not maps["sqrt"]["phi_inverse"].integer_knots
+    assert not maps["cube_root"]["phi_inverse"].integer_knots and not maps["cube_root"]["psi_inverse"].integer_knots
+    assert not maps["doubling"]["phi_inverse"].integer_knots and not maps["doubling"]["psi_inverse"].integer_knots
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_PAIRS))
+def test_maps_equal_np_interp_bit_for_bit(name):
+    rng = np.random.default_rng(11)
+    fp = build_function_pair(SEGMENT_PAIRS[name])
+    for method, (f, xs, ys) in _maps(fp).items():
+        top = xs[-1]
+        edges = [0.0, -0.0, top, np.nextafter(top, np.inf), 1e300, np.inf, np.nan]
+        t = np.concatenate(
+            (xs, (xs[1:] + xs[:-1]) / 2, np.nextafter(xs, np.inf), rng.uniform(0.0, 1.25 * top, 10**4), edges)
+        )
+        got, got_warned = _warned(f, t)
+        want, want_warned = _warned(_interp_extend, t, xs, ys)
+        assert np.array_equal(got, want, equal_nan=True), method
+        assert got_warned <= want_warned, method
+        # a 2-d strided view maps elementwise too
+        half = t.size // 2
+        grid = t[: 2 * half].reshape(2, half).T
+        assert np.array_equal(_warned(f, grid)[0], want[: 2 * half].reshape(2, half).T, equal_nan=True), method
+        for x in (0.0, -0.0, top, float(xs[-1] / 3), 1e300, np.inf):
+            value, value_warned = _warned(f, x)
+            assert isinstance(value, float)
+            expect, expect_warned = _warned(_interp_extend, np.asarray(x), xs, ys)
+            assert value == expect and value_warned <= expect_warned, (method, x)
+
+
+@pytest.mark.parametrize("name", sorted(SEGMENT_PAIRS))
+def test_rescale_factors_equal_the_np_interp_composition(name):
+    # 2 * 10^5 norms run through several slices; 0 maps to 0 and an
+    # infinite norm to the continuation's limit
+    fp = build_function_pair(SEGMENT_PAIRS[name])
+    s = np.abs(np.random.default_rng(12).standard_cauchy(2 * 10**5)) * fp.b_grid[-1] / 8.0
+    s[:6] = [0.0, -0.0, fp.b_grid[-1], fp.b_grid[1], 1e300, np.inf]
+    mapped = _interp_extend(_interp_extend(s, fp.b_grid, fp.knots), fp.knots, fp.a_grid)
+    want = np.zeros(s.shape)
+    with np.errstate(invalid="ignore", over="ignore"):
+        np.divide(mapped, s, out=want, where=s > 0.0)
+    want[s == np.inf] = fp.slope_ratio
+    got, got_warned = _warned(rescale_factors, s, fp)
+    assert np.array_equal(got, want)
+    assert np.array_equal(rescale_factors(s.reshape(400, 500), fp), want.reshape(400, 500))
+    assert got_warned <= _warned(_interp_extend, s, fp.b_grid, fp.knots)[1] | _warned(
+        _interp_extend, mapped, fp.knots, fp.a_grid
+    )[1]
 
 
 def test_single_entry_pair():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sumtails.estimator import TailEstimate
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
     StreamKey,
+    draw,
     pareto_one_sided,
     pareto_symmetric,
     point_mass,
@@ -33,6 +35,7 @@ from sumtails.suite import (
 )
 from sumtails import suite
 from sumtails.suite import _classify, _counts_per_threshold, _finish_report
+from sumtails.transforms import rescale_factors
 
 KEY = StreamKey(31415)
 
@@ -214,6 +217,47 @@ def test_wlln_refuses_nan_statistics():
     # the symmetrized criterion sequence samples ||X - X'||, which overflows too
     with pytest.raises(DomainError, match=r"criterion sequence: \d+ of 1000 Monte Carlo"):
         cross_check_symmetrization(pareto_symmetric(0.005), pair, criterion_R=1000, **kw)
+
+
+def test_thm11_ii_sides_replay_the_block_streams():
+    # block i draws V from KEY.child(i); the left side sums V on the b_n
+    # scale and the right side sums the rescaled T_i on the a_n scale, so
+    # rescaling V before the left side is taken moves the left counts
+    d, n, R, block = pareto_symmetric(1.5), 16, 1000, 512
+    reports = check_thm11_ii(d, SQRT_PAIR, n, R=R, key=KEY, block_size=block)
+    a_n, b_n = SQRT_PAIR.pair.at(n)
+    t = np.array([r.t for r in reports])
+    lhs = np.zeros(t.size, dtype=int)
+    rhs = np.zeros(t.size, dtype=int)
+    for i, m in enumerate((block, R - block)):
+        v = draw(d, KEY.child(i).generator(), (m, n))[..., 0]
+        scaled = v * rescale_factors(np.abs(v), SQRT_PAIR)
+        lhs += (np.abs(v.sum(axis=1))[:, None] / b_n > t).sum(axis=0)
+        rhs += (np.abs(scaled.sum(axis=1))[:, None] / a_n > t).sum(axis=0)
+    assert [r.lhs.successes for r in reports] == lhs.tolist()
+    assert [r.rhs.successes for r in reports] == rhs.tolist()
+    assert lhs[5] != rhs[5]  # the rescale does move this law's sums
+
+
+def test_thm11_ii_block_memory():
+    # one block of m = 4096 replications of n = 64 radial draws in R^3: the
+    # draw holds m * n * 3 floats, and the magnitudes, the directions' norms
+    # and one temporary of those norms are three (m, n) arrays next to it;
+    # the rescale then scales the draw in place, so the block peaks at about
+    # the draw plus three (m, n) arrays (the previous kernel took 8, with a
+    # second (m, n, 3) array for the rescaled vectors)
+    m, n = 4096, 64
+    d = pareto_symmetric(1.5, SpaceSpec(dim=3), lifting="radial")
+    fp = build_function_pair(power_pair(64, 0.5, 1.0))
+    check_thm11_ii(d, fp, n, R=m, key=KEY, block_size=m)  # imports and caches out of the count
+    tracemalloc.start()
+    try:
+        check_thm11_ii(d, fp, n, R=m, key=KEY, block_size=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mn = m * n * 8
+    assert peak < 3 * mn + 3.5 * mn, peak / mn
 
 
 def test_thm11_ii_requires_symmetry():

@@ -62,7 +62,7 @@ MUTANTS = (
         "th = tail_term.ci_high if tail_term",
         "th = tail_term.p_hat if tail_term",
     ),
-    # column-wise norms, the continuation, the bounds and the exact weights
+    # column-wise norms, the bounds and the exact weights
     Mutant(
         "columns_past_pairwise",
         "space.py",
@@ -70,18 +70,6 @@ MUTANTS = (
         "elif q in (1.0, 2.0):",
     ),
     Mutant("no_scalar_unwrap", "space.py", "return out[..., 0][()]", "return out[..., 0]"),
-    Mutant(
-        "scalar_continuation",
-        "norming.py",
-        "            return ys[-1] + (t - last) * slope",
-        "            return out",
-    ),
-    Mutant(
-        "array_continuation",
-        "norming.py",
-        "out[over] = ys[-1] + (t[over] - last) * slope",
-        "out[over] = ys[-1]",
-    ),
     Mutant(
         "zero_success_mask", "estimator.py", "low = np.where(k == 0, 0.0,", "low = np.where(k < 0, 0.0,"
     ),
@@ -100,7 +88,7 @@ MUTANTS = (
     ),
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
-    Mutant("rescale_at_zero", "transforms.py", "positive = s > 0.0", "positive = s >= 0.0"),
+    Mutant("rescale_at_zero", "transforms.py", "positive = part > 0.0", "positive = part >= 0.0"),
     Mutant("contraction_weights_dropped", "suite.py", "    wx = w[:, None] * xa\n", "    wx = xa\n"),
     Mutant(
         "thm11_i_ratio_unchecked",
@@ -113,6 +101,22 @@ MUTANTS = (
         "suite.py",
         "    if fp.slope_ratio * pair.b[-1] > (1.0 + 1e-12) * pair.a[-1]:",
         "    if False:",
+    ),
+    # the piecewise-linear maps: segment location and the continuation
+    Mutant("steep_gap_accepted", "norming.py", "    if np.any(steep):", "    if False:"),
+    Mutant(
+        "integer_segment_clamped_low",
+        "norming.py",
+        "return np.fmin(x, self.xs.size - 1).astype(np.intp)",
+        "return np.fmin(x, self.xs.size - 2).astype(np.intp)",
+    ),
+    Mutant("searchsorted_left", "norming.py", 'side="right") - 1', 'side="left") - 1'),
+    Mutant("continuation_dropped", "norming.py", "np.append(slopes, slopes[-1])", "np.append(slopes, 0.0)"),
+    Mutant(
+        "scaled_before_lhs",
+        "suite.py",
+        "        s_l = norms(v.sum(axis=1), space) / b_n\n        v *= rescale_factors(nv, fp)[..., None]",
+        "        v *= rescale_factors(nv, fp)[..., None]\n        s_l = norms(v.sum(axis=1), space) / b_n",
     ),
     # the samplers
     Mutant("sign_bit_strict", "sources.py", "upper = u >= 0.5", "upper = u > 0.5"),
@@ -178,7 +182,7 @@ MUTANTS = (
     Mutant(
         "infinite_norm_rescaled_to_nan",
         "transforms.py",
-        "        out[s == np.inf] = fp.slope_ratio\n",
+        "            into[part == np.inf] = fp.slope_ratio\n",
         "",
     ),
 )
