@@ -39,6 +39,7 @@ from .suite import (
     check_thm11_ii,
     run_wlln,
 )
+from .transforms import _gamma_mode
 
 SCHEMA_VERSION = 1
 
@@ -338,8 +339,12 @@ def _run_inequality(cfg: dict, index: int, key: StreamKey, threads: int, confide
 
 def _run_wlln_config(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
     space = _space_from(cfg, parent)
+    d = _dist_from(cfg, space, parent)
+    gamma_mode = _get(cfg, parent, "gamma_mode", str, "auto")
+    # refused here, before any sampling, with its key path
+    _build(_path(parent, "gamma_mode"), _gamma_mode, d, gamma_mode)
     diag = run_wlln(
-        _dist_from(cfg, space, parent),
+        d,
         _norming_from(cfg, parent),
         n_grid=_get(cfg, parent, "n_grid", [int], None),
         lambda_grid=_grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
@@ -348,7 +353,7 @@ def _run_wlln_config(cfg: dict, index: int, key: StreamKey, threads: int, confid
         confidence=confidence,
         block_size=_get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
         threads=threads,
-        gamma_mode=_get(cfg, parent, "gamma_mode", str, "auto"),
+        gamma_mode=gamma_mode,
     )
     rows = []
     for i, n in enumerate(diag.n_grid):

@@ -235,13 +235,21 @@ def _stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
     theta = rng.uniform(-math.pi / 2, math.pi / 2, shape)
     if alpha == 1.0:
         # the Cauchy case needs no exponential at all
-        return np.tan(theta)
+        return np.tan(theta, out=theta)
     w = rng.standard_exponential(shape)
+    # (sin(at) / cos(theta) ** (1 / alpha)) * (cos(theta - at) / w) ** ((1 - alpha) / alpha),
+    # each step in place; the same operations on the same operands, so the same bits
     at = alpha * theta
-    out = (np.sin(at) / np.cos(theta) ** (1.0 / alpha)) * (
-        np.cos(theta - at) / w
-    ) ** ((1.0 - alpha) / alpha)
-    return out
+    c = np.cos(theta)
+    np.subtract(theta, at, out=theta)
+    np.cos(theta, out=theta)
+    theta /= w
+    theta **= (1.0 - alpha) / alpha
+    np.sin(at, out=at)
+    c **= 1.0 / alpha
+    at /= c
+    at *= theta
+    return at
 
 
 def _random_signs(rng: np.random.Generator, shape) -> np.ndarray:
@@ -319,7 +327,9 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
         q = d.space.q
         x = _scalar_draws(d, rng, tuple(shape) + (dim,))
         factor = 1.0 if math.isinf(q) else dim ** (-1.0 / q)
-        return x if factor == 1.0 else x * factor
+        if factor != 1.0:
+            x *= factor
+        return x
     # radial: |X| itself, then a direction
     if d.kind == "rademacher":
         return _sphere_directions(rng, shape, d.space)

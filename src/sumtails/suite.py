@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, _refuse_nan
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
@@ -36,7 +36,6 @@ from .sources import (
     draw,
     is_symmetric,
     tail_prob,
-    truncated_mean,
 )
 from .space import SpaceSpec, norms
 from .transforms import gamma_n, rescale_factors
@@ -173,16 +172,6 @@ def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> tuple[n
     if weights is None:
         return valid - at_most, nan
     return cum[valid] - cum[at_most], nan
-
-
-def _refuse_nan(nan_total: int, statistics: int, name: str, kind: str) -> None:
-    """A NaN statistic is no event, so a count that skips it would be wrong."""
-    if nan_total:
-        raise DomainError(
-            f"{name}: {nan_total} of {statistics} {kind} statistics are NaN, from a NaN input"
-            " or a float64 overflow (e.g. inf - inf in a sum); a NaN cannot be counted, so"
-            " the inputs are out of range"
-        )
 
 
 def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
@@ -615,12 +604,7 @@ def _wlln(
         raise ConfigurationError("lambda_grid must be strictly increasing")
     space = d.space
     dim = space.dim
-    gammas = []
-    for n, b_n in zip(grid, b_at):
-        mode = gamma_mode
-        if gamma_mode == "auto":
-            mode = "analytic" if truncated_mean(d, b_n) is not None else "monte_carlo"
-        gammas.append(gamma_n(d, b_n, n, mode=mode, R=gamma_R, key=key.child(n)))
+    gammas = gamma_n(d, b_at, grid, mode=gamma_mode, R=gamma_R, key=key)
     criteria = [_criterion_points(d, grid, b_at, key, criterion_R, confidence)]
     if symmetrized:
         criteria.append(_criterion_points(d, grid, b_at, key, criterion_R, confidence, symmetrized=True))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, _refuse_nan
 from .norming import FunctionPair
 from .space import SpaceSpec, norm, norms
 from .sources import (
@@ -183,35 +183,72 @@ def desymmetrize_split(t_list, threshold: float, space: SpaceSpec | None = None)
     return total, flipped
 
 
+def _gamma_mode(d: DistributionSpec, mode: str) -> str:
+    """The gamma_n mode that runs: 'analytic' or 'monte_carlo', with 'auto' resolved.
+
+    Whether a closed-form truncated mean exists depends on the law
+    alone: truncated_mean returns None at every bound >= 0 or at none,
+    so bound 0 decides it for the whole grid.
+    """
+    if mode not in ("auto", "analytic", "monte_carlo"):
+        raise ConfigurationError(f"unknown gamma_n mode {mode!r}")
+    closed = truncated_mean(d, 0.0) is not None
+    if mode == "analytic" and not closed:
+        raise ConfigurationError(
+            f"no closed-form truncated mean for kind {d.kind!r} with lifting {d.lifting!r};"
+            " use monte_carlo mode"
+        )
+    if mode == "auto":
+        return "analytic" if closed else "monte_carlo"
+    return mode
+
+
 def gamma_n(
     d: DistributionSpec,
-    b_n: float,
-    n: int,
+    b_n,
+    n,
     mode: str = "analytic",
     R: int | None = None,
     key: StreamKey | None = None,
 ) -> np.ndarray:
     """n * E[X 1{||X|| <= b_n}], analytic or Monte Carlo.
 
-    Analytic mode covers every provably symmetric spec (the mean is
-    zero), point masses, and one-dimensional Pareto/uniform laws and
-    their shifts.  Monte Carlo mode uses R fresh draws from a
-    substream disjoint from the experiment's sample paths.
+    b_n and n are scalars, giving shape (dim,), or equal-length 1-d
+    grids with b_n strictly increasing, giving one row per grid point,
+    shape (len, dim).  Analytic mode covers every provably symmetric
+    spec (the mean is zero), point masses, and one-dimensional
+    Pareto/uniform laws and their shifts; 'auto' takes it whenever the
+    law has it, else Monte Carlo.  Monte Carlo mode makes one draw of
+    R vectors from key.substream(STREAM_GAMMA), disjoint from the
+    experiment's sample paths, for the whole grid: each draw falls in
+    the bin of the first b_n at or above its norm (a tie lies inside),
+    the bins' coordinate sums accumulate along the grid, and row i is
+    n_i times that partial sum over R.  An infinite draw lies beyond
+    every finite b_n and adds nothing; a NaN norm is refused.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    if mode == "analytic":
-        tm = truncated_mean(d, b_n)
-        if tm is None:
-            raise ConfigurationError(
-                f"no closed-form truncated mean for kind {d.kind!r} with lifting {d.lifting!r};"
-                " use monte_carlo mode"
-            )
-        return n * tm
-    if mode == "monte_carlo":
+    b = np.asarray(b_n, dtype=float)
+    ns = np.asarray(n)
+    if b.ndim > 1 or ns.shape != b.shape:
+        raise ConfigurationError(
+            f"b_n and n must be scalars or 1-d grids of one length, got shapes {b.shape} and {ns.shape}"
+        )
+    grid = b.ndim == 1
+    b, ns = np.atleast_1d(b), np.atleast_1d(ns)
+    if np.any(ns < 1):
+        raise ConfigurationError(f"n must be >= 1, got {ns[ns < 1][0]}")
+    if not np.all(np.diff(b) > 0):
+        raise ConfigurationError("b_n must be strictly increasing")
+    if _gamma_mode(d, mode) == "analytic":
+        out = ns[:, None] * np.array([truncated_mean(d, float(t)) for t in b])
+    else:
         _require_stream(R, key)
-        rng = key.substream(STREAM_GAMMA).generator()
-        x = draw(d, rng, R)
-        keep = norms(x, d.space) <= b_n
-        return n * np.mean(x * keep[:, None], axis=0)
-    raise ConfigurationError(f"unknown gamma_n mode {mode!r}")
+        x = draw(d, key.substream(STREAM_GAMMA).generator(), R)
+        nx = norms(x, d.space)
+        _refuse_nan(int(np.count_nonzero(np.isnan(nx))), R, "gamma_n", "Monte Carlo")
+        # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid, is dropped
+        bins = np.searchsorted(b, nx, side="left")
+        partial = np.empty((b.size, d.space.dim))
+        for j in range(d.space.dim):
+            partial[:, j] = np.bincount(bins, weights=x[:, j], minlength=b.size + 1)[:-1]
+        out = ns[:, None] * np.cumsum(partial, axis=0) / R
+    return out if grid else out[0]

@@ -10,6 +10,7 @@ import pytest
 
 from sumtails import cli
 from sumtails.errors import ConfigurationError
+from sumtails.sources import StreamKey
 from sumtails.estimator import TailEstimate
 from sumtails.suite import InequalityReport
 
@@ -332,6 +333,31 @@ def test_lifting_on_a_shifted_law_is_rejected(tmp_path, capsys):
         "error: distribution.lifting: a shifted law takes the lifting of its base;"
         " set distribution.base.lifting instead"
     )
+
+
+@pytest.mark.parametrize(
+    "mode, space, distribution, message",
+    [
+        ("bogus", None, None, "unknown gamma_n mode 'bogus'"),
+        (
+            "analytic",
+            {"dim": 2, "q": 2},
+            {"kind": "pareto_one_sided", "alpha": 1.5, "lifting": "iid_coordinates"},
+            "no closed-form truncated mean for kind 'pareto_one_sided' with lifting"
+            " 'iid_coordinates'; use monte_carlo mode",
+        ),
+    ],
+)
+def test_gamma_mode_errors_name_the_key_before_any_sampling(
+    tmp_path, capsys, monkeypatch, mode, space, distribution, message
+):
+    cfg = dict(WLLN_CFG, gamma_mode=mode)
+    if space is not None:
+        cfg.update(space=space, distribution=distribution)
+    p = _write_json(tmp_path / "cfg.json", cfg)
+    monkeypatch.setattr(StreamKey, "generator", lambda self: pytest.fail("sampled before the refusal"))
+    assert cli.main(["run", "--config", str(p), "--out", str(tmp_path / "g")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: gamma_mode: {message}"
 
 
 def test_main_validate(tmp_path, capsys):

@@ -722,8 +722,10 @@ def test_weak_law_stream_layout_is_pinned():
         assert not diag.criterion[0].analytic
         assert diag.gammas[0].tolist() == both.plain.gammas[0].tolist()
         assert diag.gammas[0].tolist() != [0.0, 0.0]
-        assert _successes(diag) == [[254, 199, 130, 63], [257, 175, 76, 40]]
-        assert _successes(both.plain) == [[254, 199, 130, 63], [269, 180, 78, 32]]
+        # the centered counts follow gamma_n, one draw from the key's gamma substream;
+        # the symmetrized counts and the criterion do not depend on it
+        assert _successes(diag) == [[255, 203, 135, 63], [264, 166, 80, 40]]
+        assert _successes(both.plain) == [[255, 203, 135, 63], [267, 166, 81, 32]]
         assert _successes(both.symmetrized) == [[288, 260, 182, 110], [283, 250, 173, 68]]
         assert [c.p.successes for c in both.symmetrized.criterion] == [199, 34]
 

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sumtails import transforms
 from sumtails.errors import ConfigurationError, DomainError
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
+    STREAM_GAMMA,
     StreamKey,
     _require_stream,
+    draw,
     pareto_one_sided,
     point_mass,
+    rademacher,
     sample,
     shifted,
     stable_symmetric,
+    truncated_mean,
     uniform_ball,
 )
 from sumtails.space import SpaceSpec, norm, norms
@@ -188,6 +193,8 @@ def test_gamma_point_mass():
     d = point_mass([3.0, 4.0], space=SpaceSpec(2, 2))
     assert gamma_n(d, 5.0, 7).tolist() == [21.0, 28.0]
     assert gamma_n(d, 4.9, 7).tolist() == [0.0, 0.0]
+    # a grid gives one row per point, each the scalar value
+    assert gamma_n(d, [4.9, 5.0], [7, 8]).tolist() == [[0.0, 0.0], [24.0, 32.0]]
 
 
 def test_gamma_pareto_linear_growth():
@@ -213,6 +220,8 @@ def test_gamma_errors():
         gamma_n(pareto_one_sided(2.0), 2.0, 0)
     with pytest.raises(ConfigurationError):
         gamma_n(d, 2.0, 5, mode="quadrature")
+    with pytest.raises(ConfigurationError, match="1-d grids of one length"):
+        gamma_n(pareto_one_sided(2.0), [1.0, 2.0], [1, 2, 3])
 
 
 def test_gamma_monte_carlo_states_the_one_stream_rule():
@@ -229,6 +238,72 @@ def test_gamma_monte_carlo_states_the_one_stream_rule():
     with pytest.raises(ConfigurationError, match=r"^Monte Carlo needs a StreamKey$"):
         gamma_n(d, 2.0, 5, mode="monte_carlo", R=1000, key=None)
     assert gamma_n(d, 2.0, 5, mode="monte_carlo", R=100, key=KEY).shape == (1,)
+
+
+def test_gamma_grid_counts_a_tie_inside_and_sums_exactly():
+    # every norm is 1: outside b = 0.5, inside b = 1.0 (the tie) and b = 2.0;
+    # the partial sums of +-1 are exact, so the rows equal n * mean exactly
+    d = rademacher()
+    R = 1000
+    mean = draw(d, KEY.substream(STREAM_GAMMA).generator(), R).mean(axis=0)
+    assert mean[0] != 0.0
+    ns = np.array([4, 8, 16])
+    got = gamma_n(d, [0.5, 1.0, 2.0], ns, mode="monte_carlo", R=R, key=KEY)
+    assert got.shape == (3, 1)
+    assert got.tolist() == [[0.0], (8 * mean).tolist(), (16 * mean).tolist()]
+    # a scalar call is the same kernel on a grid of one
+    assert gamma_n(d, 1.0, 8, mode="monte_carlo", R=R, key=KEY).tolist() == (8 * mean).tolist()
+
+
+@pytest.mark.parametrize(
+    "d, b",
+    [
+        (pareto_one_sided(1.5), [1.5, 2.0, 4.0, 16.0, 64.0, 1024.0]),
+        (shifted(uniform_ball(1.0), [0.25]), [0.1, 0.5, 0.75, 1.0, 1.25, 3.0]),
+    ],
+)
+def test_gamma_grid_matches_the_truncated_mean(d, b):
+    # one draw serves the whole grid; each row lies within 5 of its own sample's
+    # standard errors of the closed form, so a false alarm anywhere on the 6 rows
+    # has probability below 6 * 5.8e-7 (Bonferroni)
+    R = 200_000
+    ns = np.arange(1, len(b) + 1) * 10
+    got = gamma_n(d, b, ns, mode="monte_carlo", R=R, key=KEY)
+    x = draw(d, KEY.substream(STREAM_GAMMA).generator(), R)[:, 0]
+    for i, (t, n) in enumerate(zip(b, ns)):
+        kept = np.where(np.abs(x) <= t, x, 0.0)
+        se = n * kept.std(ddof=1) / math.sqrt(R)
+        exact = n * truncated_mean(d, t)[0]
+        assert abs(got[i, 0] - exact) <= 5.0 * se
+
+
+def _patched_draw(monkeypatch, values):
+    x = np.asarray(values, dtype=float)[:, None]
+    monkeypatch.setattr(transforms, "draw", lambda d, rng, R: x.copy())
+
+
+def test_gamma_refuses_a_nan_draw(monkeypatch):
+    _patched_draw(monkeypatch, [0.5] * 99 + [math.nan])
+    for b, n in ((2.0, 2), ([1.0, 2.0], [1, 2])):
+        with pytest.raises(DomainError, match=r"^gamma_n: 1 of 100 Monte Carlo statistics are NaN"):
+            gamma_n(pareto_one_sided(1.5), b, n, mode="monte_carlo", R=100, key=KEY)
+
+
+def test_gamma_excludes_an_infinite_draw(monkeypatch):
+    # the finite draws are multiples of 1/4, so every partial sum is exact
+    finite = [0.25 * (k % 9) for k in range(98)]
+    _patched_draw(monkeypatch, finite + [math.inf, -math.inf])
+    got = gamma_n(pareto_one_sided(1.5), [1.0, 2.0], [1, 2], mode="monte_carlo", R=100, key=KEY)
+    want = [[sum(v for v in finite if v <= t) * n / 100] for t, n in ((1.0, 1), (2.0, 2))]
+    assert got.tolist() == want
+    assert gamma_n(pareto_one_sided(1.5), 2.0, 2, mode="monte_carlo", R=100, key=KEY).tolist() == want[1]
+
+
+@pytest.mark.parametrize("b", [[1.0, 1.0], [2.0, 1.0], [1.0, math.nan]])
+def test_gamma_refuses_a_grid_that_does_not_increase(b):
+    for mode in ("analytic", "monte_carlo"):
+        with pytest.raises(ConfigurationError, match=r"^b_n must be strictly increasing$"):
+            gamma_n(pareto_one_sided(2.0), b, [1, 2], mode=mode, R=1000, key=KEY)
 
 
 def test_gamma_monte_carlo_reproducible():

@@ -1,13 +1,16 @@
-"""Print one sha256 of results.csv per benchmark workload and seed.
+"""Print the sha256 of results.csv per benchmark workload and seed.
 
     python3 tools/csv_digests.py [--workload NAME ...] SEED [SEED ...]
 
 Each workload of bench/workloads.py is built at each seed and run
 through sumtails.cli.run, imported from this checkout's src/, into a
-temporary directory.  The digest covers the results.csv of every config
-of the workload in order, as the benchmark's own digest does.  Two
-checkouts that print the same lines wrote the same bytes, which is the
-gate for a change that must not move any result.
+temporary directory.  The line "NAME SEED DIGEST" covers the
+results.csv of every config of the workload in order, as the
+benchmark's own digest does; under it, one indented line
+"config I DIGEST" per config gives that config's results.csv alone, so
+a declared stream change can show which configs moved.  Two checkouts
+that print the same lines wrote the same bytes, which is the gate for a
+change that must not move any result.
 """
 
 from __future__ import annotations
@@ -25,17 +28,21 @@ from sumtails import cli  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def digest(name: str, seed: int) -> str:
+def digests(name: str, seed: int) -> tuple[str, list[str]]:
+    """The workload's combined digest and each config's own."""
     workload = WORKLOADS[name](seed)
     h = hashlib.sha256()
+    per_config = []
     with tempfile.TemporaryDirectory() as tmp:
         for i, cfg in enumerate(workload.configs):
             out = Path(tmp) / f"config{i}"
             code = cli.run(cfg, threads=workload.threads, out=str(out))
             if code != 0:
                 raise SystemExit(f"{name} seed {seed}: config {i} exited with code {code}")
-            h.update((out / "results.csv").read_bytes())
-    return h.hexdigest()
+            data = (out / "results.csv").read_bytes()
+            h.update(data)
+            per_config.append(hashlib.sha256(data).hexdigest())
+    return h.hexdigest(), per_config
 
 
 def main(argv=None) -> int:
@@ -45,7 +52,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name in args.workload or sorted(WORKLOADS):
         for seed in args.seeds:
-            print(f"{name} {seed} {digest(name, seed)}", flush=True)
+            combined, per_config = digests(name, seed)
+            print(f"{name} {seed} {combined}")
+            for i, d in enumerate(per_config):
+                print(f"  config {i} {d}")
+            sys.stdout.flush()
     return 0
 
 

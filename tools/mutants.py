@@ -118,6 +118,20 @@ MUTANTS = (
         "        s_l = norms(v.sum(axis=1), space) / b_n\n        v *= rescale_factors(nv, fp)[..., None]",
         "        v *= rescale_factors(nv, fp)[..., None]\n        s_l = norms(v.sum(axis=1), space) / b_n",
     ),
+    # the Monte Carlo gamma_n grid: bins, their accumulation and the NaN refusal
+    Mutant(
+        "gamma_tie_outside",
+        "transforms.py",
+        'bins = np.searchsorted(b, nx, side="left")',
+        'bins = np.searchsorted(b, nx, side="right")',
+    ),
+    Mutant("gamma_bin_off_by_one", "transforms.py", "minlength=b.size + 1)[:-1]", "minlength=b.size + 1)[1:]"),
+    Mutant(
+        "gamma_nan_dropped",
+        "transforms.py",
+        '        _refuse_nan(int(np.count_nonzero(np.isnan(nx))), R, "gamma_n", "Monte Carlo")\n',
+        "",
+    ),
     # the samplers
     Mutant("sign_bit_strict", "sources.py", "upper = u >= 0.5", "upper = u > 0.5"),
     Mutant(
@@ -177,7 +191,7 @@ MUTANTS = (
         "",
     ),
     # overflow
-    Mutant("nan_counted_as_no_event", "suite.py", "    if nan_total:", "    if False:"),
+    Mutant("nan_counted_as_no_event", "errors.py", "    if nan_total:", "    if False:"),
     Mutant("nan_count_zero", "suite.py", "nan = stat.size - valid", "nan = 0"),
     Mutant(
         "infinite_norm_rescaled_to_nan",
