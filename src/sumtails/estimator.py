@@ -18,7 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import ConfigurationError
 from .space import SpaceSpec, norms
@@ -41,16 +40,27 @@ def clopper_pearson(successes, n: int, confidence: float = 0.99):
     """Exact two-sided binomial confidence bounds from beta quantiles.
 
     The quantiles of Beta(k, n - k + 1) and Beta(k + 1, n - k) come from
-    betaincinv.  successes is an integer or an integer array.  For an
+    betaincinv.  successes is an integer or an integer array of counts
+    in [0, n] and n an integer >= 1; anything else is refused.  For an
     array the bounds are two arrays of its shape, from one quantile call
     per bound, equal entry by entry to the scalar form's floats.
     """
     k = np.asarray(successes)
-    bad = (k < 0) | (k > n)
+    counts = k.dtype.kind in "iu" and np.asarray(n).dtype.kind in "iu" and n >= 1
+    bad = (k < 0) | (k > n) if counts else np.True_
     if np.any(bad):
-        raise ConfigurationError(f"successes must lie in [0, {n}], got {k[bad][0]}")
+        rule = (
+            f"lie in [0, {n}], got {k[bad][0]}"
+            if counts
+            else f"be integers out of an integer n >= 1, got {successes!r} of {n!r}"
+        )
+        raise ConfigurationError(f"successes must {rule}")
     if not (0 < confidence < 1):
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
+    # imported here, not at the top: scipy.special costs more start-up than the rest of
+    # the program, and only a Monte Carlo interval needs it
+    from scipy.special import betaincinv
+
     tail = (1.0 - confidence) / 2.0
     # betaincinv gives NaN at k = 0 (low) and k = n (high), where the bounds are 0 and 1
     low = np.where(k == 0, 0.0, betaincinv(k, n - k + 1, tail))
@@ -92,11 +102,11 @@ class TailEstimate:
     def from_counts(
         cls, successes: int, replications: int, confidence: float = 0.99, exact: bool = False
     ) -> "TailEstimate":
-        p = successes / replications
         if exact:
+            p = successes / replications
             return cls(p, successes, replications, p, p, True)
         low, high = clopper_pearson(successes, replications, confidence)
-        return cls(p, successes, replications, low, high, False)
+        return cls(successes / replications, successes, replications, low, high, False)
 
     @classmethod
     def known(cls, p: float) -> "TailEstimate":

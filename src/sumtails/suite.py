@@ -225,9 +225,10 @@ def _compare(
     """One report per threshold from the lhs and rhs success counts.
 
     Exact mode takes exact(): what _counts_per_threshold returns for
-    the lhs and for the rhs, and the number of equally likely outcomes.  Monte Carlo runs sides, the lhs and rhs statistics and
-    any ints, through _mc_pass; tail(totals) turns the totals of those
-    ints into the tail term, which the bound weighs by tail_weight.
+    the lhs and for the rhs, and the number of equally likely outcomes.
+    Monte Carlo runs sides, the lhs and rhs statistics and any ints,
+    through _mc_pass; tail(totals) turns the totals of those ints into
+    the tail term, which the bound weighs by tail_weight.
     """
     tail_term = None
     if mode == "exact":

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -97,6 +98,39 @@ def test_clopper_pearson_errors():
         clopper_pearson(2, 4, confidence=1.0)
 
 
+NOT_COUNTS = "successes must be integers out of an integer n >= 1"
+
+
+@pytest.mark.parametrize(
+    "successes, n",
+    [
+        (2.5, 10),
+        (0, 0),
+        (0, -3),
+        (3, 10.0),
+        (np.array([1.0, 2.0]), 4),
+        (True, 3),
+        (np.array([1, 2]), np.float64(4)),
+    ],
+)
+def test_clopper_pearson_refuses_what_is_not_a_count(successes, n):
+    with pytest.raises(ConfigurationError, match=NOT_COUNTS):
+        clopper_pearson(successes, n)
+
+
+def test_clopper_pearson_accepts_numpy_integers():
+    want = clopper_pearson(3, 10)
+    assert clopper_pearson(np.int64(3), np.int64(10)) == want
+    assert clopper_pearson(np.uint8(3), np.int32(10)) == want
+    low, high = clopper_pearson(np.array([3, 7], dtype=np.uint32), 10)
+    assert (low[0], high[0]) == want
+
+
+def test_from_counts_refuses_zero_replications():
+    with pytest.raises(ConfigurationError, match=NOT_COUNTS):
+        TailEstimate.from_counts(3, 0)
+
+
 @pytest.mark.parametrize("n", [100, 4000, 16384, 10**6])
 def test_clopper_pearson_array_equals_scalar(n):
     rng = np.random.default_rng(n)
@@ -141,14 +175,70 @@ def test_clopper_pearson_equals_beta_ppf(confidence):
         assert clopper_pearson(ki, 1000, confidence) == tuple(map(float, _beta_ppf_bounds(ki, 1000, confidence)))
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    # scipy.stats costs more to import than the rest of the program together
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, sumtails.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+def test_scipy_loads_only_at_the_first_interval(tmp_path):
+    # scipy.special costs more start-up than the rest of the program together, so
+    # only a Monte Carlo interval may load it; each step runs in a fresh interpreter
+    exact = {
+        "schema_version": 1,
+        "experiment": "thm11_i",
+        "seed": 11,
+        "space": {"dim": 1, "q": 2},
+        "norming": {"kind": "power", "n_max": 8, "exp_a": 0.5, "exp_b": 1.0},
+        "vectors": [[0.5], [-1.0], [1.5]],
+        "t_grid": [0.0, 0.4, 0.8, 1.2],
+    }
+    construct = {
+        "schema_version": 1,
+        "experiment": "construct",
+        "norming": {"kind": "power", "n_max": 10, "exp_a": 0.5, "exp_b": 1.0},
+    }
+    monte_carlo = {
+        "schema_version": 1,
+        "experiment": "thm11_ii",
+        "seed": 4,
+        "space": {"dim": 1, "q": 2},
+        "distribution": {"kind": "pareto_symmetric", "alpha": 1.5},
+        "norming": {"kind": "power", "n_max": 8, "exp_a": 0.5, "exp_b": 1.0},
+        "n": 4,
+        "R": 200,
+        "t_grid": [0.5, 1.0],
+    }
+    configs = {
+        "exact": exact,
+        "construct": construct,
+        "monte_carlo": monte_carlo,
+        "refused": {**monte_carlo, "R": 5},
+    }
+    for name, cfg in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+
+    def main(command, name, code):
+        argv = [command, "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)]
+        return f"assert cli.main({argv!r}) == {code}"
+
+    steps = [
+        ("pass", False),
+        (main("validate", "exact", 0), False),
+        (main("run", "exact", 0), False),
+        (main("run", "construct", 0), False),
+        (main("run", "refused", 2), False),
+        ("try:\n    estimator.clopper_pearson(2.5, 10)\n"
+         "except errors.ConfigurationError:\n    pass", False),
+        (main("run", "monte_carlo", 0), True),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for step, loads_special in steps:
+        code = (
+            f"import sys\nfrom sumtails import cli, errors, estimator\n{step}\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (step, done.stderr)
+        loaded = done.stdout.splitlines()[-1]
+        if loads_special:
+            assert "'scipy.special'" in loaded, step
+        else:
+            assert loaded == "[]", (step, loaded)
 
 
 def test_clopper_pearson_array_errors():

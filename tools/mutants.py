@@ -86,6 +86,19 @@ MUTANTS = (
         "betaincinv(k, n - k + 1, tail)",
         "betaincinv(k, n - k, tail)",
     ),
+    Mutant(
+        "fractional_successes_accepted",
+        "estimator.py",
+        'counts = k.dtype.kind in "iu" and np.asarray(n).dtype.kind in "iu" and n >= 1',
+        "counts = True",
+    ),
+    # start-up: only a Monte Carlo interval may load scipy
+    Mutant(
+        "eager_scipy_import",
+        "estimator.py",
+        "import numpy as np\n",
+        "import numpy as np\nfrom scipy.special import betaincinv\n",
+    ),
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
     Mutant("rescale_at_zero", "transforms.py", "positive = part > 0.0", "positive = part >= 0.0"),
