@@ -25,7 +25,6 @@ from .sources import (
     point_mass,
     rademacher,
     sample,
-    sample_stable,
     shifted,
     stable_symmetric,
     uniform_ball,
@@ -74,7 +73,6 @@ __all__ = [
     "point_mass",
     "shifted",
     "sample",
-    "sample_stable",
     "TransformContext",
     "rescale",
     "truncate",

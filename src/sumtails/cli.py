@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, DomainError
-from .estimator import DEFAULT_BLOCK_SIZE
+from .estimator import DEFAULT_BLOCK_SIZE, _require_enumerable
 from .norming import NormingPair, build_function_pair, power_pair
 from .sources import (
     STREAM_VECTORS,
@@ -33,6 +33,12 @@ from .sources import (
 from .space import SpaceSpec
 from .suite import (
     DEFAULT_LAMBDA_GRID,
+    _AUX_R,
+    _prepare_contraction,
+    _prepare_levy,
+    _prepare_thm11_i,
+    _prepare_thm11_ii,
+    _prepare_wlln,
     check_contraction,
     check_levy,
     check_thm11_i,
@@ -224,10 +230,12 @@ def _grid_from(cfg: dict, parent: str, key: str, default=None):
     return np.linspace(start, stop, points)
 
 
-def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radius_for):
+def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radius_for, exact: bool):
     """The x_i as listed, or drawn uniformly in the ball of radius scale * radius_for(count).
 
     radius_for also vets the count, so it runs for listed vectors too.
+    In exact mode a count past the enumeration budget is refused before
+    any vector is drawn.
     """
     path = _path(parent, "vectors")
     if isinstance(cfg.get("vectors"), list):
@@ -244,6 +252,8 @@ def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radi
     if count < 1:
         raise ConfigurationError(f"{path}.random.count: must be >= 1")
     radius = radius_for(count)
+    if exact:
+        _build(parent, _require_enumerable, count)
     scale = _get(rnd, f"{path}.random", "scale", float, 1.0)
     if not (0 < scale <= 1.0):
         raise ConfigurationError(f"{path}.random.scale: must lie in (0, 1]")
@@ -289,7 +299,7 @@ def _report_row(index: int, rpt) -> dict:
     }
 
 
-def _run_inequality(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
+def _inequality_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
     experiment = cfg["experiment"]
     space = _space_from(cfg, parent)
     kwargs = {
@@ -303,124 +313,166 @@ def _run_inequality(cfg: dict, index: int, key: StreamKey, threads: int, confide
     if experiment != "thm11_ii":
         kwargs["mode"] = _get(cfg, parent, "mode", str, "mc" if experiment == "levy" else "exact")
     kwargs["R"] = _get(cfg, parent, "R", int) if kwargs.get("mode", "mc") == "mc" else None
+    exact = kwargs.get("mode") == "exact"
     if experiment == "thm11_i":
         pair = _norming_from(cfg, parent)
         x = _vectors_from(
-            cfg, space, key, parent, lambda count: _build(_path(parent, "vectors"), pair.at, count)[1]
+            cfg, space, key, parent, lambda count: _build(_path(parent, "vectors"), pair.at, count)[1], exact
         )
-        checker, args = check_thm11_i, (x, build_function_pair(pair), space)
+        checker, prepare, args = check_thm11_i, _prepare_thm11_i, (x, build_function_pair(pair), space)
     elif experiment == "contraction":
         radius = _get(cfg, parent, "vector_scale", float, 1.0)
         if radius <= 0:
             raise ConfigurationError(f"{_path(parent, 'vector_scale')}: must be positive, got {radius}")
-        x = _vectors_from(cfg, space, key, parent, lambda count: radius)
-        checker, args = check_contraction, (x, _weights_from(cfg, len(x), key, parent), space)
+        x = _vectors_from(cfg, space, key, parent, lambda count: radius, exact)
+        args = (x, _weights_from(cfg, len(x), key, parent), space)
+        checker, prepare = check_contraction, _prepare_contraction
     else:
         d = _dist_from(cfg, space, parent)
         if experiment == "thm11_ii":
             fp = build_function_pair(_norming_from(cfg, parent))
-            checker, args = check_thm11_ii, (d, fp, _get(cfg, parent, "n", int))
+            checker, prepare, args = check_thm11_ii, _prepare_thm11_ii, (d, fp, _get(cfg, parent, "n", int))
         else:
-            checker, args = check_levy, (d, _get(cfg, parent, "n", int))
+            checker, prepare, args = check_levy, _prepare_levy, (d, _get(cfg, parent, "n", int))
             kwargs["b_n"] = _get(cfg, parent, "b_n", float, 1.0)
-    # inside a sweep the checker's errors name the config they concern
-    reports = _build(parent, checker, *args, **kwargs)
-    rows = [_report_row(index, r) for r in reports]
-    verdicts = dict(Counter(r.verdict for r in reports))
-    summary = {
-        "experiment": experiment,
-        "rows": len(rows),
-        "verdicts": verdicts,
-        "min_sigma_margin": min((r.sigma_margin for r in reports), default=float("inf")),
-        "min_slack": min((r.slack for r in reports), default=float("inf")),
-    }
-    return rows, summary, any(r.verdict == "violated" for r in reports)
+    # inside a sweep the checker's errors name the config they concern; its
+    # rules run here, and the pass they return is dropped unrun
+    _build(parent, prepare, *args, **kwargs)
+
+    def call():
+        reports = _build(parent, checker, *args, **kwargs)
+        rows = [_report_row(index, r) for r in reports]
+        summary = {
+            "experiment": experiment,
+            "rows": len(rows),
+            "verdicts": dict(Counter(r.verdict for r in reports)),
+            "min_sigma_margin": min((r.sigma_margin for r in reports), default=float("inf")),
+            "min_slack": min((r.slack for r in reports), default=float("inf")),
+        }
+        return rows, summary, any(r.verdict == "violated" for r in reports)
+
+    return call
 
 
-def _run_wlln_config(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
+def _wlln_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
     space = _space_from(cfg, parent)
     d = _dist_from(cfg, space, parent)
     gamma_mode = _get(cfg, parent, "gamma_mode", str, "auto")
     # refused here, before any sampling, with its key path
     _build(_path(parent, "gamma_mode"), _gamma_mode, d, gamma_mode)
-    diag = run_wlln(
-        d,
-        _norming_from(cfg, parent),
-        n_grid=_get(cfg, parent, "n_grid", [int], None),
-        lambda_grid=_grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
-        R=_get(cfg, parent, "R", int),
-        key=key,
-        confidence=confidence,
-        block_size=_get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
-        threads=threads,
-        gamma_mode=gamma_mode,
-    )
-    rows = []
-    for i, n in enumerate(diag.n_grid):
-        cp = diag.criterion[i]
-        for j, lam in enumerate(diag.lambda_grid):
-            e = diag.estimates[i][j]
-            rows.append(
-                {
-                    "config_index": index,
-                    "experiment": "wlln",
-                    "n": n,
-                    "lambda": lam,
-                    "p_hat": e.p_hat,
-                    "ci_low": e.ci_low,
-                    "ci_high": e.ci_high,
-                    "criterion_value": cp.value,
-                    "criterion_ci_low": cp.ci_low,
-                    "criterion_ci_high": cp.ci_high,
-                    "criterion_analytic": cp.analytic,
-                    "classification": diag.classification,
-                }
-            )
-    summary = {
-        "experiment": "wlln",
-        "rows": len(rows),
-        "classification": diag.classification,
-        "criterion_at_max_n": diag.criterion[-1].value,
-        "tau": diag.tau,
-        "delta": diag.delta,
-    }
-    return rows, summary, False
-
-
-def _run_construct(cfg: dict, parent: str):
     pair = _norming_from(cfg, parent)
-    rows = [
-        {
-            "n": i + 1,
-            "a_n": float(pair.a[i]),
-            "b_n": float(pair.b[i]),
-            "ratio": float(pair.b[i] / pair.a[i]),
+    kwargs = {
+        "n_grid": _get(cfg, parent, "n_grid", [int], None),
+        "lambda_grid": _grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
+        "R": _get(cfg, parent, "R", int),
+        "key": key,
+        "confidence": confidence,
+        "block_size": _get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
+        "threads": threads,
+        "gamma_mode": gamma_mode,
+        "gamma_R": _AUX_R,
+        "criterion_R": _AUX_R,
+    }
+    _prepare_wlln(False, d, pair, **kwargs)
+
+    def call():
+        diag = run_wlln(d, pair, **kwargs)
+        rows = []
+        for i, n in enumerate(diag.n_grid):
+            cp = diag.criterion[i]
+            for j, lam in enumerate(diag.lambda_grid):
+                e = diag.estimates[i][j]
+                rows.append(
+                    {
+                        "config_index": index,
+                        "experiment": "wlln",
+                        "n": n,
+                        "lambda": lam,
+                        "p_hat": e.p_hat,
+                        "ci_low": e.ci_low,
+                        "ci_high": e.ci_high,
+                        "criterion_value": cp.value,
+                        "criterion_ci_low": cp.ci_low,
+                        "criterion_ci_high": cp.ci_high,
+                        "criterion_analytic": cp.analytic,
+                        "classification": diag.classification,
+                    }
+                )
+        summary = {
+            "experiment": "wlln",
+            "rows": len(rows),
+            "classification": diag.classification,
+            "criterion_at_max_n": diag.criterion[-1].value,
+            "tau": diag.tau,
+            "delta": diag.delta,
         }
-        for i in range(len(pair))
-    ]
-    summary = {"experiment": "construct", "rows": len(rows), "length": len(pair)}
-    return rows, summary, False
+        return rows, summary, False
+
+    return call
 
 
-def validate_config(cfg: dict) -> str:
-    """Structural validation; returns the experiment kind or raises."""
-    if not isinstance(cfg, dict):
+def _construct_call(cfg: dict, index, key, threads, confidence, parent: str):
+    # a reader like the others; a norming table needs no key, threads or confidence
+    pair = _norming_from(cfg, parent)
+
+    def call():
+        rows = [
+            {
+                "n": i + 1,
+                "a_n": float(pair.a[i]),
+                "b_n": float(pair.b[i]),
+                "ratio": float(pair.b[i] / pair.a[i]),
+            }
+            for i in range(len(pair))
+        ]
+        summary = {"experiment": "construct", "rows": len(rows), "length": len(pair)}
+        return rows, summary, False
+
+    return call
+
+
+def _ready_call(cfg: dict, sub: dict, index: int, threads: int, confidence: float):
+    """Config index of cfg (sub is cfg itself unless cfg is a sweep) read into its ready call.
+
+    A single config runs as a sweep of one: config index 0, key
+    StreamKey(seed), and key paths without a configs[i] prefix.  Config
+    i >= 1 gets the root key hashed from (seed, i), whose streams miss
+    config 0's replication-indexed ones (e.g. its random weights at
+    replication 1 of the vector substream).
+    """
+    parent = f"configs[{index}]" if cfg["experiment"] == "sweep" else ""
+    experiment = sub["experiment"]
+    key = None if experiment == "construct" else StreamKey(cfg["seed"], index).child(0)
+    read = {"wlln": _wlln_call, "construct": _construct_call}.get(experiment, _inequality_call)
+    return read(sub, index, key, threads, confidence, parent)
+
+
+def _compile(config, flags: dict):
+    """The config with the flags applied, every rule of a run checked, and no sample path drawn.
+
+    Returns the config as the manifest records it, the results.csv
+    columns, the output directory, and one ready call per config, each
+    returning (rows, summary, violated).  Reading a config draws its
+    random vectors and weights, which its call then uses.
+    """
+    if not isinstance(config, dict):
         raise ConfigurationError("config root: expected a JSON object")
+    # flags (seed, threads, out, confidence) override the same-named top-level keys
+    cfg = dict(config, **{k: v for k, v in flags.items() if v is not None})
     version = _get(cfg, "", "schema_version", int)
     if version != SCHEMA_VERSION:
         raise ConfigurationError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
     experiment = _get(cfg, "", "experiment", str)
     if experiment not in _EXPERIMENTS:
         raise ConfigurationError(f"experiment: expected one of {_EXPERIMENTS}, got {experiment!r}")
+    subs = [cfg]
     if experiment == "sweep":
-        configs = _get(cfg, "", "configs", [dict])
-        if not configs:
+        subs = _get(cfg, "", "configs", [dict])
+        if not subs:
             raise ConfigurationError("configs: must be a nonempty array")
-        for i, sub in enumerate(configs):
+        for i, sub in enumerate(subs):
             if _get(sub, f"configs[{i}]", "experiment", str) not in _INEQ_EXPERIMENTS:
-                raise ConfigurationError(
-                    f"configs[{i}].experiment: sweeps accept only {_INEQ_EXPERIMENTS}"
-                )
+                raise ConfigurationError(f"configs[{i}].experiment: sweeps accept only {_INEQ_EXPERIMENTS}")
     if experiment != "construct":
         if "seed" not in cfg:
             raise ConfigurationError(
@@ -430,22 +482,6 @@ def validate_config(cfg: dict) -> str:
         seed = _get(cfg, "", "seed", int)
         if not 0 <= seed < 2**64:
             raise ConfigurationError(f"seed: must lie in [0, 2^64), got {seed}")
-    return experiment
-
-
-def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
-    """Execute a config (path or dict); returns the process exit code."""
-    started = time.perf_counter()
-    cfg = dict(config) if isinstance(config, dict) else _load_config(config)
-    for key_name, override in (
-        ("seed", seed),
-        ("threads", threads),
-        ("out", out),
-        ("confidence", confidence),
-    ):
-        if override is not None:
-            cfg[key_name] = override
-    experiment = validate_config(cfg)
     threads_v = _get(cfg, "", "threads", int, 1)
     if threads_v < 1:
         raise ConfigurationError(f"threads: must be >= 1, got {threads_v}")
@@ -453,37 +489,37 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
     if not (0 < conf_v < 1):
         raise ConfigurationError(f"confidence: must lie in (0, 1), got {conf_v}")
     out_dir = Path(_get(cfg, "", "out", str, "sumtails_out"))
+    calls = [_ready_call(cfg, sub, i, threads_v, conf_v) for i, sub in enumerate(subs)]
+    columns = {"wlln": WLLN_COLUMNS, "construct": CONSTRUCT_COLUMNS}.get(experiment, INEQ_COLUMNS)
+    return cfg, columns, out_dir, calls
 
-    if experiment == "construct":
-        rows, summary, violated = _run_construct(cfg, "")
-        columns = CONSTRUCT_COLUMNS
-        summaries = [summary]
-    else:
-        # a single config runs as a sweep of one: config index 0, key
-        # StreamKey(seed), and key paths without a configs[i] prefix.
-        # Config i >= 1 gets the root key hashed from (seed, i), whose
-        # streams miss config 0's replication-indexed ones (e.g. its
-        # random weights at replication 1 of the vector substream).
-        runner, columns = _run_inequality, INEQ_COLUMNS
-        if experiment == "wlln":
-            runner, columns = _run_wlln_config, WLLN_COLUMNS
-        sweep = experiment == "sweep"
-        rows, summaries, violated = [], [], False
-        for i, sub in enumerate(cfg["configs"] if sweep else [cfg]):
-            key = StreamKey(cfg["seed"], i).child(0)
-            sub_rows, sub_summary, sub_violated = runner(
-                sub, i, key, threads_v, conf_v, f"configs[{i}]" if sweep else ""
-            )
-            rows.extend(sub_rows)
-            summaries.append(sub_summary)
-            violated = violated or sub_violated
+
+def validate_config(cfg: dict) -> str:
+    """Every rule run applies, with no sample path drawn; returns the experiment kind or raises."""
+    return _compile(cfg, {})[0]["experiment"]
+
+
+def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
+    """Execute a config (path or dict); returns the process exit code.
+
+    Every config is compiled, a sweep's included, before any of them runs.
+    """
+    started = time.perf_counter()
+    flags = {"seed": seed, "threads": threads, "out": out, "confidence": confidence}
+    cfg, columns, out_dir, calls = _compile(config if isinstance(config, dict) else _load_config(config), flags)
+    rows, summaries, violated = [], [], False
+    for call in calls:
+        sub_rows, sub_summary, sub_violated = call()
+        rows.extend(sub_rows)
+        summaries.append(sub_summary)
+        violated = violated or sub_violated
 
     exit_code = 1 if violated else 0
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "results.csv", columns, rows)
     summary_doc = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
+        "experiment": cfg["experiment"],
         "configs": summaries,
         "total_rows": len(rows),
         "exit_code": exit_code,
@@ -561,9 +597,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        flags = {"seed": args.seed, "threads": args.threads, "out": args.out, "confidence": args.confidence}
         if args.command == "validate":
-            experiment = validate_config(cfg)
-            print(f"ok: {experiment}")
+            print(f"ok: {_compile(cfg, flags)[0]['experiment']}")
             return 0
         if args.command in ("construct", "sweep"):
             cfg.setdefault("experiment", args.command)
@@ -572,13 +608,7 @@ def main(argv=None) -> int:
                     f"experiment: the {args.command} subcommand needs experiment ="
                     f" {args.command!r}, got {cfg['experiment']!r}"
                 )
-        return run(
-            cfg,
-            seed=args.seed,
-            threads=args.threads,
-            out=args.out,
-            confidence=args.confidence,
-        )
+        return run(cfg, **flags)
     except (ConfigurationError, DomainError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -14,7 +14,6 @@ import functools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +35,21 @@ ENUMERATION_MAX_N = 20
 DEFAULT_BLOCK_SIZE = 4096
 
 
+def _require_counts(successes, n) -> np.ndarray:
+    """successes as an array, once it is an integer count, or counts, in [0, n] of an integer n >= 1."""
+    k = np.asarray(successes)
+    counts = k.dtype.kind in "iu" and np.asarray(n).dtype.kind in "iu" and n >= 1
+    bad = (k < 0) | (k > n) if counts else np.True_
+    if bad.any():  # np.any(bad) costs 3 µs more per scalar count, once per exact estimate
+        rule = (
+            f"lie in [0, {n}], got {k[bad][0]}"
+            if counts
+            else f"be integers out of an integer n >= 1, got {successes!r} of {n!r}"
+        )
+        raise ConfigurationError(f"successes must {rule}")
+    return k
+
+
 def clopper_pearson(successes, n: int, confidence: float = 0.99):
     """Exact two-sided binomial confidence bounds from beta quantiles.
 
@@ -45,16 +59,7 @@ def clopper_pearson(successes, n: int, confidence: float = 0.99):
     array the bounds are two arrays of its shape, from one quantile call
     per bound, equal entry by entry to the scalar form's floats.
     """
-    k = np.asarray(successes)
-    counts = k.dtype.kind in "iu" and np.asarray(n).dtype.kind in "iu" and n >= 1
-    bad = (k < 0) | (k > n) if counts else np.True_
-    if np.any(bad):
-        rule = (
-            f"lie in [0, {n}], got {k[bad][0]}"
-            if counts
-            else f"be integers out of an integer n >= 1, got {successes!r} of {n!r}"
-        )
-        raise ConfigurationError(f"successes must {rule}")
+    k = _require_counts(successes, n)
     if not (0 < confidence < 1):
         raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
     # imported here, not at the top: scipy.special costs more start-up than the rest of
@@ -103,6 +108,7 @@ class TailEstimate:
         cls, successes: int, replications: int, confidence: float = 0.99, exact: bool = False
     ) -> "TailEstimate":
         if exact:
+            _require_counts(successes, replications)
             p = successes / replications
             return cls(p, successes, replications, p, p, True)
         low, high = clopper_pearson(successes, replications, confidence)
@@ -112,6 +118,14 @@ class TailEstimate:
     def known(cls, p: float) -> "TailEstimate":
         """A probability known in closed form, carried as a degenerate estimate."""
         return cls(p, 0, 1, p, p, True)
+
+
+def _require_enumerable(n: int) -> None:
+    """Exact mode enumerates the 2^n sign patterns of n summands, n <= ENUMERATION_MAX_N."""
+    if n > ENUMERATION_MAX_N:
+        raise ConfigurationError(
+            f"n = {n} exceeds the 2^{ENUMERATION_MAX_N} enumeration budget; use Monte Carlo"
+        )
 
 
 def enumerate_sign_norms(x, space: SpaceSpec) -> np.ndarray:
@@ -129,10 +143,7 @@ def enumerate_sign_norms(x, space: SpaceSpec) -> np.ndarray:
     n = xa.shape[0]
     if xa.shape[1] != space.dim:
         raise ConfigurationError(f"vectors have dim {xa.shape[1]}, space has dim {space.dim}")
-    if n > ENUMERATION_MAX_N:
-        raise ConfigurationError(
-            f"n = {n} exceeds the 2^{ENUMERATION_MAX_N} enumeration budget; use Monte Carlo"
-        )
+    _require_enumerable(n)
     sums = np.zeros((1 << n, space.dim))
     for i in range(n):
         h = 1 << i
@@ -158,6 +169,11 @@ def _add(total, part) -> tuple:
     return tuple(part) if total is None else tuple(t + p for t, p in zip(total, part))
 
 
+def _require_block_size(block_size: int) -> None:
+    if block_size < 1:
+        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
+
+
 def mc_counts(
     block_fn, R: int, key: StreamKey, *, block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1
 ) -> tuple:
@@ -175,8 +191,7 @@ def mc_counts(
     """
     if R < 1:
         raise ConfigurationError(f"R must be >= 1, got {R}")
-    if block_size < 1:
-        raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
+    _require_block_size(block_size)
     blocks = -(-R // block_size)
     lock = threading.Lock()
     claimed = 0
@@ -200,6 +215,10 @@ def mc_counts(
     workers = _worker_count(threads, blocks, _usable_cpus())
     if workers == 1:
         return work()
+    # imported here, not at the top: concurrent.futures loads logging, about 12 ms of
+    # every cold start, and only a threaded pass needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = [f.result() for f in [pool.submit(work) for _ in range(workers)]]
     return functools.reduce(_add, [p for p in parts if p is not None])

@@ -30,7 +30,6 @@ __all__ = [
     "point_mass",
     "shifted",
     "sample",
-    "sample_stable",
     "uniform_in_ball",
     "draw",
     "is_symmetric",
@@ -348,13 +347,6 @@ def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:
     if count < 0:
         raise ConfigurationError(f"count must be nonnegative, got {count}")
     return draw(d, k.generator(), count)
-
-
-def sample_stable(alpha: float, k: StreamKey, count: int) -> np.ndarray:
-    """count i.i.d. symmetric alpha-stable reals, cf exp(-|t|**alpha)."""
-    if not (0 < alpha <= 2):
-        raise ConfigurationError(f"stable index must lie in (0, 2], got {alpha}")
-    return _stable_draws(alpha, k.generator(), count)
 
 
 def uniform_in_ball(space: SpaceSpec, radius: float, k: StreamKey, count: int) -> np.ndarray:

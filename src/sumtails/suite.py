@@ -21,6 +21,8 @@ from .errors import ConfigurationError, _refuse_nan
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
+    _require_block_size,
+    _require_enumerable,
     clopper_pearson,
     enumerate_sign_norms,
     mc_counts,
@@ -70,6 +72,8 @@ DEFAULT_T_STOP = 3.0
 LEVY_EXACT_MAX_N = 31
 
 _CHUNK_ELEMENTS = 1 << 22
+# the weak-law runs' default replications for Monte Carlo gamma_n and criterion estimates
+_AUX_R = 10**6
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,6 @@ def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
     the (statistics x thresholds) count matrix and the totals of those
     ints; a NaN statistic is refused, never skipped.
     """
-    _require_stream(R, key)
-
     def block(rng, m):
         counts, extra, nan = [], [], 0
         for s in statistics(rng, m):
@@ -222,7 +224,7 @@ def _compare(
     name, tg, factor, config, confidence, mode, R, key, block_size, threads,
     sides, exact=None, tail=None, tail_weight=0,
 ):
-    """One report per threshold from the lhs and rhs success counts.
+    """Refuses a bad mode or Monte Carlo input, else returns the pass: a report per threshold.
 
     Exact mode takes exact(): what _counts_per_threshold returns for
     the lhs and for the rhs, and the number of equally likely outcomes.
@@ -230,23 +232,63 @@ def _compare(
     through _mc_pass; tail(totals) turns the totals of those ints into
     the tail term, which the bound weighs by tail_weight.
     """
-    tail_term = None
-    if mode == "exact":
-        (lhs, nan_l), (rhs, nan_r), reps = exact()
-        _refuse_nan(nan_l + nan_r, 2 * reps, name, "exact")
-    elif mode == "mc":
-        (lhs, rhs), extra = _mc_pass(name, sides, tg, R, key, block_size, threads)
-        reps = R
-        if tail is not None:
-            tail_term = tail(extra)
-    else:
+    if mode not in ("exact", "mc"):
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
-    lhs_t = _estimates(lhs, reps, confidence, mode == "exact")
-    rhs_t = _estimates(rhs, reps, confidence, mode == "exact")
-    return [
-        _finish_report(name, t, lt, rt, factor, tail_term, tail_weight, config)
-        for t, lt, rt in zip(tg, lhs_t, rhs_t)
-    ]
+    if mode == "mc":
+        _require_stream(R, key)
+        _require_block_size(block_size)
+
+    def comparison():
+        tail_term = None
+        if mode == "exact":
+            (lhs, nan_l), (rhs, nan_r), reps = exact()
+            _refuse_nan(nan_l + nan_r, 2 * reps, name, "exact")
+        else:
+            (lhs, rhs), extra = _mc_pass(name, sides, tg, R, key, block_size, threads)
+            reps = R
+            if tail is not None:
+                tail_term = tail(extra)
+        lhs_t = _estimates(lhs, reps, confidence, mode == "exact")
+        rhs_t = _estimates(rhs, reps, confidence, mode == "exact")
+        return [
+            _finish_report(name, t, lt, rt, factor, tail_term, tail_weight, config)
+            for t, lt, rt in zip(tg, lhs_t, rhs_t)
+        ]
+
+    return comparison
+
+
+def _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads):
+    """check_thm11_i's input rules; returns its pass."""
+    xa = np.atleast_2d(np.asarray(x, dtype=float))
+    n = xa.shape[0]
+    a_n, b_n = fp.pair.at(n)
+    _require_ratio_monotone(fp.pair)
+    xnorms = norms(xa, space)
+    bad = np.nonzero(xnorms > b_n)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ConfigurationError(
+            f"hypothesis ||x_i|| <= b_n fails at i = {i + 1}: ||x|| = {xnorms[i]} > {b_n}"
+        )
+    t_vec = xa * rescale_factors(xnorms, fp)[:, None]
+    tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)
+    config = _report_config(space, n=n, a_n=a_n, b_n=b_n, mode=mode)
+    if mode == "exact":
+        _require_enumerable(n)
+
+    def exact():
+        lhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg * b_n)
+        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, space), tg * a_n)
+        return lhs, rhs, 1 << n
+
+    def sides(rng, m):
+        signs = _random_signs(rng, (m, n))
+        return norms(signs @ xa, space) / b_n, norms(signs @ t_vec, space) / a_n
+
+    return _compare(
+        "thm11_i", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    )
 
 
 def check_thm11_i(
@@ -267,32 +309,37 @@ def check_thm11_i(
     hypothesis is checked and its violation rejected.  Exact mode
     enumerates all 2^n sign patterns for both sides at once.
     """
+    return _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads)()
+
+
+def _prepare_contraction(x, alpha_weights, space, t_grid, mode, R, key, confidence, block_size, threads):
+    """check_contraction's input rules; returns its pass."""
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
-    a_n, b_n = fp.pair.at(n)
-    _require_ratio_monotone(fp.pair)
-    xnorms = norms(xa, space)
-    bad = np.nonzero(xnorms > b_n)[0]
+    w = np.asarray(alpha_weights, dtype=float)
+    if w.shape != (n,):
+        raise ConfigurationError(f"alpha_weights must have length {n}")
+    bad = np.nonzero(np.abs(w) > 1.0)[0]
     if bad.size:
         i = int(bad[0])
-        raise ConfigurationError(
-            f"hypothesis ||x_i|| <= b_n fails at i = {i + 1}: ||x|| = {xnorms[i]} > {b_n}"
-        )
-    t_vec = xa * rescale_factors(xnorms, fp)[:, None]
-    tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)
-    config = _report_config(space, n=n, a_n=a_n, b_n=b_n, mode=mode)
+        raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
+    tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
+    config = _report_config(space, n=n, mode=mode)
+    if mode == "exact":
+        _require_enumerable(n)
+    wx = w[:, None] * xa
 
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg * b_n)
-        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, space), tg * a_n)
+        lhs = _counts_per_threshold(enumerate_sign_norms(wx, space), tg)
+        rhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg)
         return lhs, rhs, 1 << n
 
     def sides(rng, m):
         signs = _random_signs(rng, (m, n))
-        return norms(signs @ xa, space) / b_n, norms(signs @ t_vec, space) / a_n
+        return norms(signs @ wx, space), norms(signs @ xa, space)
 
     return _compare(
-        "thm11_i", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+        "contraction", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
     )
 
 
@@ -309,31 +356,9 @@ def check_contraction(
     threads: int = 1,
 ) -> list[InequalityReport]:
     """P(||sum a_i R_i x_i|| > t) <= 2 P(||sum R_i x_i|| > t), |a_i| <= 1."""
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    n = xa.shape[0]
-    w = np.asarray(alpha_weights, dtype=float)
-    if w.shape != (n,):
-        raise ConfigurationError(f"alpha_weights must have length {n}")
-    bad = np.nonzero(np.abs(w) > 1.0)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
-    tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
-    config = _report_config(space, n=n, mode=mode)
-    wx = w[:, None] * xa
-
-    def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(wx, space), tg)
-        rhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg)
-        return lhs, rhs, 1 << n
-
-    def sides(rng, m):
-        signs = _random_signs(rng, (m, n))
-        return norms(signs @ wx, space), norms(signs @ xa, space)
-
-    return _compare(
-        "contraction", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
-    )
+    return _prepare_contraction(
+        x, alpha_weights, space, t_grid, mode, R, key, confidence, block_size, threads
+    )()
 
 
 def _require_ratio_monotone(pair: NormingPair) -> None:
@@ -357,25 +382,8 @@ def _require_extension_safe(fp: FunctionPair) -> None:
         )
 
 
-def check_thm11_ii(
-    d: DistributionSpec,
-    fp: FunctionPair,
-    n: int,
-    t_grid=None,
-    R: int = 10**5,
-    key: StreamKey | None = None,
-    confidence: float = 0.99,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    threads: int = 1,
-) -> list[InequalityReport]:
-    """P(||sum V_i|| > t b_n) <= 4 P(||sum T_i|| > t a_n) + n P(||V|| > b_n).
-
-    V_1..V_n i.i.d. symmetric, T_i the rescaled V_i; both sides share
-    every sample path.  Draws with ||V|| beyond psi(N) ride the linear
-    continuation of the function pair.  The per-summand tail term uses
-    the closed form when the law has one, else the empirical frequency
-    over all n * R draws.
-    """
+def _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads):
+    """check_thm11_ii's input rules; returns its pass."""
     if not is_symmetric(d):
         raise ConfigurationError("the comparison requires a symmetric law; got a non-symmetric spec")
     a_n, b_n = fp.pair.at(n)
@@ -404,6 +412,69 @@ def check_thm11_ii(
     )
 
 
+def check_thm11_ii(
+    d: DistributionSpec,
+    fp: FunctionPair,
+    n: int,
+    t_grid=None,
+    R: int = 10**5,
+    key: StreamKey | None = None,
+    confidence: float = 0.99,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    threads: int = 1,
+) -> list[InequalityReport]:
+    """P(||sum V_i|| > t b_n) <= 4 P(||sum T_i|| > t a_n) + n P(||V|| > b_n).
+
+    V_1..V_n i.i.d. symmetric, T_i the rescaled V_i; both sides share
+    every sample path.  Draws with ||V|| beyond psi(N) ride the linear
+    continuation of the function pair.  The per-summand tail term uses
+    the closed form when the law has one, else the empirical frequency
+    over all n * R draws.
+    """
+    return _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads)()
+
+
+def _prepare_levy(d, n, t_grid, R, key, b_n, mode, confidence, block_size, threads):
+    """check_levy's input rules; returns its pass."""
+    if n < 1:
+        raise ConfigurationError(f"n must be >= 1, got {n}")
+    if not 0 < b_n < math.inf:
+        raise ConfigurationError(f"b_n must be positive and finite, got {b_n}")
+    tg = _t_grid(t_grid, DEFAULT_T_STOP)
+    space = d.space
+    config = _report_config(space, d, n=n, b_n=b_n, mode=mode)
+    if mode == "exact":
+        if d.kind != "rademacher" or space.dim != 1:
+            raise ConfigurationError("exact mode covers the scalar random-sign law only")
+        if n > LEVY_EXACT_MAX_N:
+            raise ConfigurationError(
+                f"n = {n} exceeds the exact budget n <= {LEVY_EXACT_MAX_N}, where the"
+                " 4^n sign pairs still fit an int64 count; use Monte Carlo"
+            )
+
+    def exact():
+        # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
+        # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
+        # the j-th coefficient of (1 + 2z + z^2)^n = (1 + z)^(2n)
+        sum_weights = np.array([math.comb(2 * n, j) for j in range(2 * n + 1)], dtype=np.int64)
+        # the maximal difference is 0 only when every difference is
+        max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
+        thr = tg * b_n
+        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
+        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
+        return lhs, rhs, 4**n
+
+    def sides(rng, m):
+        x = draw(d, rng, (m, n))
+        x_prime = draw(d, rng, (m, n))
+        diff = x - x_prime
+        return norms(diff, space).max(axis=1) / b_n, norms(diff.sum(axis=1), space) / b_n
+
+    return _compare(
+        "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    )
+
+
 def check_levy(
     d: DistributionSpec,
     n: int,
@@ -425,42 +496,7 @@ def check_levy(
     of S_n - S_n', each weighted by the pairs that give it, and from the
     2^n pairs whose maximal difference is 0.
     """
-    if n < 1:
-        raise ConfigurationError(f"n must be >= 1, got {n}")
-    if not 0 < b_n < math.inf:
-        raise ConfigurationError(f"b_n must be positive and finite, got {b_n}")
-    tg = _t_grid(t_grid, DEFAULT_T_STOP)
-    space = d.space
-    config = _report_config(space, d, n=n, b_n=b_n, mode=mode)
-
-    def exact():
-        if d.kind != "rademacher" or space.dim != 1:
-            raise ConfigurationError("exact mode covers the scalar random-sign law only")
-        if n > LEVY_EXACT_MAX_N:
-            raise ConfigurationError(
-                f"n = {n} exceeds the exact budget n <= {LEVY_EXACT_MAX_N}, where the"
-                " 4^n sign pairs still fit an int64 count; use Monte Carlo"
-            )
-        # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
-        # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
-        # the j-th coefficient of (1 + 2z + z^2)^n = (1 + z)^(2n)
-        sum_weights = np.array([math.comb(2 * n, j) for j in range(2 * n + 1)], dtype=np.int64)
-        # the maximal difference is 0 only when every difference is
-        max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
-        thr = tg * b_n
-        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
-        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
-        return lhs, rhs, 4**n
-
-    def sides(rng, m):
-        x = draw(d, rng, (m, n))
-        x_prime = draw(d, rng, (m, n))
-        diff = x - x_prime
-        return norms(diff, space).max(axis=1) / b_n, norms(diff.sum(axis=1), space) / b_n
-
-    return _compare(
-        "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
-    )
+    return _prepare_levy(d, n, t_grid, R, key, b_n, mode, confidence, block_size, threads)()
 
 
 @dataclass(frozen=True)
@@ -570,31 +606,22 @@ def _criterion_points(
     return tuple(points)
 
 
-def _wlln(
-    symmetrized: bool,
-    d: DistributionSpec,
-    pair: NormingPair,
-    n_grid,
-    lambda_grid,
-    R: int,
-    key: StreamKey | None,
-    confidence: float,
-    block_size: int,
-    threads: int,
-    gamma_mode: str,
-    gamma_R: int,
-    criterion_R: int,
-) -> list[WllnDiagnostic]:
-    """The centered diagnostic, then the symmetrized one when asked.
+def _prepare_wlln(
+    symmetrized, d, pair, n_grid, lambda_grid, R, key, confidence, block_size, threads, gamma_mode,
+    gamma_R, criterion_R,
+):
+    """The input rules of run_wlln and cross_check_symmetrization; returns their pass.
 
-    Each chunk of summands draws X and then, when symmetrized, X' from
-    the replication's stream, and the chunk width divides the element
-    budget among the running sums.  These two rules fix which draw
-    lands in which replication; changing either changes the results.
+    The pass gives the centered diagnostic, then the symmetrized one
+    when asked.  Each chunk of summands draws X and then, when
+    symmetrized, X' from the replication's stream, and the chunk width
+    divides the element budget among the running sums.  These two rules
+    fix which draw lands in which replication; changing either changes
+    the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
-    # the gamma_n and criterion streams come off the key before the pass does
     _require_stream(R, key)
+    _require_block_size(block_size)
     if criterion_R < 1:
         raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")
     _require_ratio_monotone(pair)
@@ -605,49 +632,53 @@ def _wlln(
         raise ConfigurationError("lambda_grid must be strictly increasing")
     space = d.space
     dim = space.dim
-    gammas = gamma_n(d, b_at, grid, mode=gamma_mode, R=gamma_R, key=key)
-    criteria = [_criterion_points(d, grid, b_at, key, criterion_R, confidence)]
-    if symmetrized:
-        criteria.append(_criterion_points(d, grid, b_at, key, criterion_R, confidence, symmetrized=True))
     k = 2 if symmetrized else 1
 
-    def statistics(rng, m):
-        # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
-        sums = np.zeros((k, m, dim))
-        chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
-        prev = 0
-        for n, gamma, b_n in zip(grid, gammas, b_at):
-            need = n - prev
-            while need > 0:
-                c = min(chunk, need)
-                for running in sums:
-                    running += draw(d, rng, (m, c)).sum(axis=1)
-                need -= c
-            yield norms(sums[0] - gamma, space) / b_n
-            if symmetrized:
-                yield norms(sums[0] - sums[1], space) / b_n
-            prev = n
+    def diagnostics() -> list[WllnDiagnostic]:
+        gammas = gamma_n(d, b_at, grid, mode=gamma_mode, R=gamma_R, key=key)
+        criteria = [_criterion_points(d, grid, b_at, key, criterion_R, confidence)]
+        if symmetrized:
+            criteria.append(_criterion_points(d, grid, b_at, key, criterion_R, confidence, symmetrized=True))
 
-    counts, _ = _mc_pass(caller, statistics, lam, R, key, block_size, threads)
-    # rows run over n, and within each n over the variants
-    counts = counts.reshape(len(grid), k, lam.size)
-    config = _report_config(space, d, R=R, gamma_mode=gamma_mode)
-    out = []
-    for v, criterion in enumerate(criteria):
-        cfg = dict(config, variant=("centered", "symmetrized")[v]) if symmetrized else config
-        estimates = tuple(tuple(_estimates(row, R, confidence)) for row in counts[:, v])
-        out.append(
-            WllnDiagnostic(
-                config=cfg,
-                n_grid=tuple(grid),
-                lambda_grid=tuple(float(x) for x in lam),
-                estimates=estimates,
-                criterion=criterion,
-                gammas=tuple(gammas) if v == 0 else tuple(np.zeros(dim) for _ in grid),
-                classification=_classify(estimates, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
+        def statistics(rng, m):
+            # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
+            sums = np.zeros((k, m, dim))
+            chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
+            prev = 0
+            for n, gamma, b_n in zip(grid, gammas, b_at):
+                need = n - prev
+                while need > 0:
+                    c = min(chunk, need)
+                    for running in sums:
+                        running += draw(d, rng, (m, c)).sum(axis=1)
+                    need -= c
+                yield norms(sums[0] - gamma, space) / b_n
+                if symmetrized:
+                    yield norms(sums[0] - sums[1], space) / b_n
+                prev = n
+
+        counts, _ = _mc_pass(caller, statistics, lam, R, key, block_size, threads)
+        # rows run over n, and within each n over the variants
+        counts = counts.reshape(len(grid), k, lam.size)
+        config = _report_config(space, d, R=R, gamma_mode=gamma_mode)
+        out = []
+        for v, criterion in enumerate(criteria):
+            cfg = dict(config, variant=("centered", "symmetrized")[v]) if symmetrized else config
+            estimates = tuple(tuple(_estimates(row, R, confidence)) for row in counts[:, v])
+            out.append(
+                WllnDiagnostic(
+                    config=cfg,
+                    n_grid=tuple(grid),
+                    lambda_grid=tuple(float(x) for x in lam),
+                    estimates=estimates,
+                    criterion=criterion,
+                    gammas=tuple(gammas) if v == 0 else tuple(np.zeros(dim) for _ in grid),
+                    classification=_classify(estimates, TAU_CONVERGES, DELTA_BOUNDED_AWAY),
+                )
             )
-        )
-    return out
+        return out
+
+    return diagnostics
 
 
 def run_wlln(
@@ -661,8 +692,8 @@ def run_wlln(
     block_size: int = DEFAULT_BLOCK_SIZE,
     threads: int = 1,
     gamma_mode: str = "auto",
-    gamma_R: int = 10**6,
-    criterion_R: int = 10**6,
+    gamma_R: int = _AUX_R,
+    criterion_R: int = _AUX_R,
 ) -> WllnDiagnostic:
     """Estimate the normalized-sum tails and classify the branch.
 
@@ -672,10 +703,10 @@ def run_wlln(
     from closed forms when the law has them, else from substreams
     disjoint from the experiment paths.
     """
-    return _wlln(
+    return _prepare_wlln(
         False, d, pair, n_grid, lambda_grid, R, key, confidence,
         block_size, threads, gamma_mode, gamma_R, criterion_R,
-    )[0]
+    )()[0]
 
 
 @dataclass(frozen=True)
@@ -698,8 +729,8 @@ def cross_check_symmetrization(
     block_size: int = DEFAULT_BLOCK_SIZE,
     threads: int = 1,
     gamma_mode: str = "auto",
-    gamma_R: int = 10**6,
-    criterion_R: int = 10**6,
+    gamma_R: int = _AUX_R,
+    criterion_R: int = _AUX_R,
 ) -> SymmetrizationCrossCheck:
     """Run the centered and the symmetrized diagnostics on shared paths.
 
@@ -707,10 +738,10 @@ def cross_check_symmetrization(
     draws interleave from the same stream, so the two diagnostics see
     coupled paths; their branch classifications are compared.
     """
-    plain, symm = _wlln(
+    plain, symm = _prepare_wlln(
         True, d, pair, n_grid, lambda_grid, R, key, confidence,
         block_size, threads, gamma_mode, gamma_R, criterion_R,
-    )
+    )()
     return SymmetrizationCrossCheck(
         plain=plain,
         symmetrized=symm,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sumtails import cli
+from sumtails import cli, suite
 from sumtails.errors import ConfigurationError
 from sumtails.sources import StreamKey
 from sumtails.estimator import TailEstimate
@@ -63,12 +63,15 @@ def test_validate_config_accepts_each_experiment():
     assert cli.validate_config(THM11_I_CFG) == "thm11_i"
     assert cli.validate_config(LEVY_CFG) == "levy"
     assert cli.validate_config(WLLN_CFG) == "wlln"
-    assert (
-        cli.validate_config(
-            {"schema_version": 1, "experiment": "construct", "norming": {}}
-        )
-        == "construct"
-    )
+    construct = {
+        "schema_version": 1,
+        "experiment": "construct",
+        "norming": {"kind": "power", "n_max": 10, "exp_a": 0.5, "exp_b": 1.0},
+    }
+    assert cli.validate_config(construct) == "construct"
+    # run refuses an empty norming, so validate does too
+    with pytest.raises(ConfigurationError, match="missing required key norming.kind"):
+        cli.validate_config(dict(construct, norming={}))
 
 
 def test_validate_config_errors():
@@ -502,74 +505,74 @@ def test_key_path_sweep_runs(tmp_path):
     assert cli.run(KEY_PATH_SWEEP, out=str(tmp_path / "o")) == 0
 
 
-@pytest.mark.parametrize(
-    "index, dotted, value, message",
-    [
-        (0, "space.dim", "x", "configs[0].space.dim: expected an integer, got 'x'"),
-        (0, "space.q", "huge", "configs[0].space.q: expected a number >= 1 or 'inf', got 'huge'"),
-        (0, "vectors", [[0.5], "a"], "configs[0].vectors[1]: expected an array, got 'a'"),
-        (0, "vectors", [[0.5], [True]], "configs[0].vectors[1][0]: expected a number, got True"),
-        (
-            0, "vectors", [[0.5, 1.0], [0.2, 0.1]],
-            "configs[0].vectors: vectors must all have 1 coordinates",
-        ),
-        (0, "vectors", [], "configs[0].vectors: must be nonempty"),
-        (0, "vectors", {"random": {"count": 0}}, "configs[0].vectors.random.count: must be >= 1"),
-        (
-            0, "vectors", {"random": {"count": 9}},
-            "configs[0].vectors: n must lie in [1, 8] (N is the norming pair length), got 9",
-        ),
-        (0, "vectors", {"count": 2}, "missing required key configs[0].vectors.random"),
-        (
-            0, "vectors", {"random": {"count": 2, "scale": 2}},
-            "configs[0].vectors.random.scale: must lie in (0, 1]",
-        ),
-        (0, "norming", [], "configs[0].norming: expected an object, got []"),
-        (
-            0, "norming.kind", "log",
-            "configs[0].norming.kind: expected 'power' or 'explicit', got 'log'",
-        ),
-        (0, "norming.exp_a", True, "configs[0].norming.exp_a: expected a number, got True"),
-        (0, "norming.n_max", 0, "configs[0].norming: n_max must be >= 1, got 0"),
-        (0, "t_grid", {"stop": 1, "points": 0}, "configs[0].t_grid.points: must be >= 1"),
-        (0, "t_grid", [0, "1"], "configs[0].t_grid[1]: expected a number, got '1'"),
-        (0, "mode", 3, "configs[0].mode: expected a string, got 3"),
-        (1, "weights", [0.5], "configs[1].weights: expected 3 weights, got 1"),
-        (1, "weights", {"random": 1}, 'configs[1].weights: expected an array or {"random": true}'),
-        (1, "weights", _DELETE, "missing required key configs[1].weights"),
-        (1, "vectors.random.scale", 2, "configs[1].vectors.random.scale: must lie in (0, 1]"),
-        (1, "vector_scale", "1", "configs[1].vector_scale: expected a number, got '1'"),
-        (1, "mode", "mc", "missing required key configs[1].R"),
-        (
-            2, "distribution.kind", "gauss",
-            "configs[2].distribution.kind: unknown distribution kind 'gauss'",
-        ),
-        (
-            2, "distribution",
-            {"kind": "shifted", "base": {"kind": "pareto_symmetric"}, "shift": [1.0]},
-            "missing required key configs[2].distribution.base.alpha",
-        ),
-        (
-            2, "distribution", {"kind": "point_mass", "v": [1.0, None]},
-            "configs[2].distribution.v[1]: expected a number, got None",
-        ),
-        (2, "distribution.lifting", 1, "configs[2].distribution.lifting: expected a string, got 1"),
-        (2, "n", 4.0, "configs[2].n: expected an integer, got 4.0"),
-        (2, "block_size", "big", "configs[2].block_size: expected an integer, got 'big'"),
-        (2, "R", _DELETE, "missing required key configs[2].R"),
-        (2, "norming", _DELETE, "missing required key configs[2].norming"),
-        (3, "b_n", "1", "configs[3].b_n: expected a number, got '1'"),
-        (3, "space", _DELETE, "missing required key configs[3].space"),
-        (1, "vector_scale", 0, "configs[1].vector_scale: must be positive, got 0.0"),
-        (1, "vector_scale", -0.5, "configs[1].vector_scale: must be positive, got -0.5"),
-        (
-            0, "vectors", [[0.5], [float("nan")]],
-            "configs[0].vectors[1][0]: expected a finite number, got nan",
-        ),
-        (3, "b_n", float("inf"), "configs[3].b_n: expected a finite number, got inf"),
-        (0, "t_grid", [0.0, -math.inf], "configs[0].t_grid[1]: expected a finite number, got -inf"),
-    ],
-)
+KEY_PATH_CASES = [
+    (0, "space.dim", "x", "configs[0].space.dim: expected an integer, got 'x'"),
+    (0, "space.q", "huge", "configs[0].space.q: expected a number >= 1 or 'inf', got 'huge'"),
+    (0, "vectors", [[0.5], "a"], "configs[0].vectors[1]: expected an array, got 'a'"),
+    (0, "vectors", [[0.5], [True]], "configs[0].vectors[1][0]: expected a number, got True"),
+    (
+        0, "vectors", [[0.5, 1.0], [0.2, 0.1]],
+        "configs[0].vectors: vectors must all have 1 coordinates",
+    ),
+    (0, "vectors", [], "configs[0].vectors: must be nonempty"),
+    (0, "vectors", {"random": {"count": 0}}, "configs[0].vectors.random.count: must be >= 1"),
+    (
+        0, "vectors", {"random": {"count": 9}},
+        "configs[0].vectors: n must lie in [1, 8] (N is the norming pair length), got 9",
+    ),
+    (0, "vectors", {"count": 2}, "missing required key configs[0].vectors.random"),
+    (
+        0, "vectors", {"random": {"count": 2, "scale": 2}},
+        "configs[0].vectors.random.scale: must lie in (0, 1]",
+    ),
+    (0, "norming", [], "configs[0].norming: expected an object, got []"),
+    (
+        0, "norming.kind", "log",
+        "configs[0].norming.kind: expected 'power' or 'explicit', got 'log'",
+    ),
+    (0, "norming.exp_a", True, "configs[0].norming.exp_a: expected a number, got True"),
+    (0, "norming.n_max", 0, "configs[0].norming: n_max must be >= 1, got 0"),
+    (0, "t_grid", {"stop": 1, "points": 0}, "configs[0].t_grid.points: must be >= 1"),
+    (0, "t_grid", [0, "1"], "configs[0].t_grid[1]: expected a number, got '1'"),
+    (0, "mode", 3, "configs[0].mode: expected a string, got 3"),
+    (1, "weights", [0.5], "configs[1].weights: expected 3 weights, got 1"),
+    (1, "weights", {"random": 1}, 'configs[1].weights: expected an array or {"random": true}'),
+    (1, "weights", _DELETE, "missing required key configs[1].weights"),
+    (1, "vectors.random.scale", 2, "configs[1].vectors.random.scale: must lie in (0, 1]"),
+    (1, "vector_scale", "1", "configs[1].vector_scale: expected a number, got '1'"),
+    (1, "mode", "mc", "missing required key configs[1].R"),
+    (
+        2, "distribution.kind", "gauss",
+        "configs[2].distribution.kind: unknown distribution kind 'gauss'",
+    ),
+    (
+        2, "distribution",
+        {"kind": "shifted", "base": {"kind": "pareto_symmetric"}, "shift": [1.0]},
+        "missing required key configs[2].distribution.base.alpha",
+    ),
+    (
+        2, "distribution", {"kind": "point_mass", "v": [1.0, None]},
+        "configs[2].distribution.v[1]: expected a number, got None",
+    ),
+    (2, "distribution.lifting", 1, "configs[2].distribution.lifting: expected a string, got 1"),
+    (2, "n", 4.0, "configs[2].n: expected an integer, got 4.0"),
+    (2, "block_size", "big", "configs[2].block_size: expected an integer, got 'big'"),
+    (2, "R", _DELETE, "missing required key configs[2].R"),
+    (2, "norming", _DELETE, "missing required key configs[2].norming"),
+    (3, "b_n", "1", "configs[3].b_n: expected a number, got '1'"),
+    (3, "space", _DELETE, "missing required key configs[3].space"),
+    (1, "vector_scale", 0, "configs[1].vector_scale: must be positive, got 0.0"),
+    (1, "vector_scale", -0.5, "configs[1].vector_scale: must be positive, got -0.5"),
+    (
+        0, "vectors", [[0.5], [float("nan")]],
+        "configs[0].vectors[1][0]: expected a finite number, got nan",
+    ),
+    (3, "b_n", float("inf"), "configs[3].b_n: expected a finite number, got inf"),
+    (0, "t_grid", [0.0, -math.inf], "configs[0].t_grid[1]: expected a finite number, got -inf"),
+]
+
+
+@pytest.mark.parametrize("index, dotted, value, message", KEY_PATH_CASES)
 def test_sweep_key_path_messages(tmp_path, index, dotted, value, message):
     with pytest.raises(ConfigurationError) as info:
         cli.run(_broken_sweep(index, dotted, value), out=str(tmp_path / "o"))
@@ -634,3 +637,98 @@ def test_ragged_and_non_numeric_arrays_are_rejected(tmp_path):
     explicit = {"kind": "explicit", "a": [1.0, "2"], "b": [1.0, 2.0]}
     with pytest.raises(ConfigurationError, match=r"configs\[2\]\.norming\.a\[1\]: expected a number"):
         cli.run(_broken_sweep(2, "norming", explicit), out=str(tmp_path / "o"))
+
+
+def _single(sweep_index, **changes):
+    """Config sweep_index of KEY_PATH_SWEEP as a config of its own, with changes."""
+    return dict(KEY_PATH_SWEEP["configs"][sweep_index], schema_version=1, seed=7, **changes)
+
+
+def _radial_levy():
+    cfg = _broken_sweep(3, "space", {"dim": 3, "q": 2})
+    cfg["configs"][3]["distribution"] = {"kind": "pareto_symmetric", "alpha": 1.5, "lifting": "radial"}
+    return cfg
+
+
+# (config, flags, the message run and validate both refuse it with)
+REFUSAL_CASES = [(_broken_sweep(i, dotted, value), {}, message) for i, dotted, value, message in KEY_PATH_CASES]
+REFUSAL_CASES += [
+    (_single(2, R=5), {}, "Monte Carlo needs R >= 100, got 5"),
+    (
+        _broken_sweep(2, "distribution", {"kind": "pareto_one_sided", "alpha": 1.5}),
+        {},
+        "configs[2]: the comparison requires a symmetric law; got a non-symmetric spec",
+    ),
+    (_broken_sweep(2, "n", 9), {}, "configs[2]: n must lie in [1, 8] (N is the norming pair length), got 9"),
+    (_broken_sweep(2, "block_size", 0), {}, "configs[2]: block_size must be >= 1, got 0"),
+    (_radial_levy(), {}, "configs[3]: exact mode covers the scalar random-sign law only"),
+    (
+        _broken_sweep(3, "n", 32),
+        {},
+        "configs[3]: n = 32 exceeds the exact budget n <= 31, where the 4^n sign pairs still fit an"
+        " int64 count; use Monte Carlo",
+    ),
+    (
+        _single(0, norming={"kind": "power", "n_max": 32, "exp_a": 0.5}, vectors={"random": {"count": 21}}),
+        {},
+        "n = 21 exceeds the 2^20 enumeration budget; use Monte Carlo",
+    ),
+    # refused before the 10^8 vectors are drawn
+    (
+        _broken_sweep(1, "vectors", {"random": {"count": 10**8}}),
+        {},
+        "configs[1]: n = 100000000 exceeds the 2^20 enumeration budget; use Monte Carlo",
+    ),
+    (_broken_sweep(0, "mode", "bogus"), {}, "configs[0]: mode must be 'exact' or 'mc', got 'bogus'"),
+    (_broken_sweep(1, "t_grid", [-1.0]), {}, "configs[1]: t_grid must be finite and nonnegative"),
+    (dict(WLLN_CFG, n_grid=[16, 4]), {}, "n_grid must be strictly increasing"),
+    (KEY_PATH_SWEEP, {"threads": 0}, "threads: must be >= 1, got 0"),
+    (KEY_PATH_SWEEP, {"confidence": 1.5}, "confidence: must lie in (0, 1), got 1.5"),
+    (
+        {k: v for k, v in THM11_I_CFG.items() if k != "seed"},
+        {},
+        "missing required key seed (pass --seed or set it in the config; there is no wall-clock default)",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, flags, message", REFUSAL_CASES)
+def test_validate_refuses_what_run_refuses(tmp_path, capsys, cfg, flags, message):
+    out = tmp_path / "o"
+    with pytest.raises(ConfigurationError) as ran:
+        cli.run(cfg, out=str(out), **flags)
+    assert str(ran.value) == message
+    assert not out.exists()
+    # the flags override the config's keys, in validate as in run
+    with pytest.raises(ConfigurationError) as validated:
+        cli.validate_config(dict(cfg, **flags))
+    assert str(validated.value) == message
+    p = _write_json(tmp_path / "cfg.json", cfg)
+    argv = ["validate", "--config", str(p)] + [a for k, v in flags.items() for a in (f"--{k}", str(v))]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+def test_validate_takes_the_flags(tmp_path, capsys):
+    # --seed supplies the seed a config leaves out, in validate as in run
+    p = _write_json(tmp_path / "cfg.json", {k: v for k, v in THM11_I_CFG.items() if k != "seed"})
+    assert cli.main(["validate", "--config", str(p)]) == 2
+    assert "pass --seed" in capsys.readouterr().err
+    assert cli.main(["validate", "--config", str(p), "--seed", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "ok: thm11_i"
+    assert cli.main(["run", "--config", str(p), "--seed", "3", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_sweep_compiles_every_config_before_any_pass(tmp_path, monkeypatch):
+    # configs 0-2 are good and would enumerate or sample; config 3 breaks a rule
+    # that used to fire only inside its own pass
+    def no_pass(*args, **kwargs):
+        pytest.fail("a pass ran before every config was compiled")
+
+    monkeypatch.setattr(suite, "mc_counts", no_pass)
+    monkeypatch.setattr(suite, "enumerate_sign_norms", no_pass)
+    out = tmp_path / "o"
+    with pytest.raises(ConfigurationError) as info:
+        cli.run(_radial_levy(), out=str(out))
+    assert str(info.value) == "configs[3]: exact mode covers the scalar random-sign law only"
+    assert not out.exists()

@@ -127,8 +127,9 @@ def test_clopper_pearson_accepts_numpy_integers():
 
 
 def test_from_counts_refuses_zero_replications():
-    with pytest.raises(ConfigurationError, match=NOT_COUNTS):
-        TailEstimate.from_counts(3, 0)
+    for exact in (False, True):
+        with pytest.raises(ConfigurationError, match=NOT_COUNTS):
+            TailEstimate.from_counts(3, 0, exact=exact)
 
 
 @pytest.mark.parametrize("n", [100, 4000, 16384, 10**6])

@@ -172,8 +172,16 @@ MUTANTS = (
     Mutant(
         "sweep_seed_plus_index",
         "cli.py",
-        'key = StreamKey(cfg["seed"], i).child(0)',
-        'key = StreamKey(cfg["seed"] + i)',
+        'StreamKey(cfg["seed"], index).child(0)',
+        'StreamKey(cfg["seed"] + index)',
+    ),
+    # one compile before any pass: validate applies every checker rule, run compiles every config first
+    Mutant("validate_skips_checker_rules", "cli.py", "    _build(parent, prepare, *args, **kwargs)\n", ""),
+    Mutant(
+        "sweep_passes_before_compiling",
+        "cli.py",
+        "calls = [_ready_call(cfg, sub, i, threads_v, conf_v) for i, sub in enumerate(subs)]",
+        "calls = (_ready_call(cfg, sub, i, threads_v, conf_v) for i, sub in enumerate(subs))",
     ),
     # the block claims
     Mutant(
