@@ -52,47 +52,6 @@ SCHEMA_VERSION = 1
 _INEQ_EXPERIMENTS = ("thm11_i", "thm11_ii", "contraction", "levy")
 _EXPERIMENTS = _INEQ_EXPERIMENTS + ("wlln", "construct", "sweep")
 
-INEQ_COLUMNS = [
-    "config_index",
-    "experiment",
-    "t",
-    "n",
-    "lhs_p",
-    "lhs_ci_low",
-    "lhs_ci_high",
-    "rhs_p",
-    "rhs_ci_low",
-    "rhs_ci_high",
-    "factor",
-    "tail_p",
-    "tail_ci_high",
-    "tail_weight",
-    "rhs_bound",
-    "rhs_bound_ci_high",
-    "slack",
-    "sigma_margin",
-    "verdict",
-    "exact",
-]
-
-WLLN_COLUMNS = [
-    "config_index",
-    "experiment",
-    "n",
-    "lambda",
-    "p_hat",
-    "ci_low",
-    "ci_high",
-    "criterion_value",
-    "criterion_ci_low",
-    "criterion_ci_high",
-    "criterion_analytic",
-    "classification",
-]
-
-CONSTRUCT_COLUMNS = ["n", "a_n", "b_n", "ratio"]
-
-
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -299,20 +258,28 @@ def _report_row(index: int, rpt) -> dict:
     }
 
 
-def _inequality_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
-    experiment = cfg["experiment"]
-    space = _space_from(cfg, parent)
-    kwargs = {
-        "t_grid": _grid_from(cfg, parent, "t_grid"),
+def _pass_params(cfg: dict, parent: str, key: StreamKey, threads: int, confidence: float, mode=None) -> dict:
+    """key, confidence, block_size, threads and R as every pass takes them, and the mode of a
+    checker whose default mode is given; R is read after the mode, and only for Monte Carlo.
+    """
+    params = {
         "key": key,
         "confidence": confidence,
         "block_size": _get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
         "threads": threads,
     }
-    # thm11_ii is Monte Carlo only and takes no mode
-    if experiment != "thm11_ii":
-        kwargs["mode"] = _get(cfg, parent, "mode", str, "mc" if experiment == "levy" else "exact")
-    kwargs["R"] = _get(cfg, parent, "R", int) if kwargs.get("mode", "mc") == "mc" else None
+    if mode is not None:
+        params["mode"] = mode = _get(cfg, parent, "mode", str, mode)
+    params["R"] = _get(cfg, parent, "R", int) if mode in (None, "mc") else None
+    return params
+
+
+def _inequality_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: float, parent: str):
+    experiment = cfg["experiment"]
+    space = _space_from(cfg, parent)
+    mode = None if experiment == "thm11_ii" else "mc" if experiment == "levy" else "exact"
+    t_grid = _grid_from(cfg, parent, "t_grid")
+    kwargs = {"t_grid": t_grid, **_pass_params(cfg, parent, key, threads, confidence, mode)}
     exact = kwargs.get("mode") == "exact"
     if experiment == "thm11_i":
         pair = _norming_from(cfg, parent)
@@ -364,11 +331,7 @@ def _wlln_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: 
     kwargs = {
         "n_grid": _get(cfg, parent, "n_grid", [int], None),
         "lambda_grid": _grid_from(cfg, parent, "lambda_grid", DEFAULT_LAMBDA_GRID),
-        "R": _get(cfg, parent, "R", int),
-        "key": key,
-        "confidence": confidence,
-        "block_size": _get(cfg, parent, "block_size", int, DEFAULT_BLOCK_SIZE),
-        "threads": threads,
+        **_pass_params(cfg, parent, key, threads, confidence),
         "gamma_mode": gamma_mode,
         "gamma_R": _AUX_R,
         "criterion_R": _AUX_R,
@@ -377,27 +340,24 @@ def _wlln_call(cfg: dict, index: int, key: StreamKey, threads: int, confidence: 
 
     def call():
         diag = run_wlln(d, pair, **kwargs)
-        rows = []
-        for i, n in enumerate(diag.n_grid):
-            cp = diag.criterion[i]
-            for j, lam in enumerate(diag.lambda_grid):
-                e = diag.estimates[i][j]
-                rows.append(
-                    {
-                        "config_index": index,
-                        "experiment": "wlln",
-                        "n": n,
-                        "lambda": lam,
-                        "p_hat": e.p_hat,
-                        "ci_low": e.ci_low,
-                        "ci_high": e.ci_high,
-                        "criterion_value": cp.value,
-                        "criterion_ci_low": cp.ci_low,
-                        "criterion_ci_high": cp.ci_high,
-                        "criterion_analytic": cp.analytic,
-                        "classification": diag.classification,
-                    }
-                )
+        rows = [
+            {
+                "config_index": index,
+                "experiment": "wlln",
+                "n": n,
+                "lambda": lam,
+                "p_hat": e.p_hat,
+                "ci_low": e.ci_low,
+                "ci_high": e.ci_high,
+                "criterion_value": cp.value,
+                "criterion_ci_low": cp.ci_low,
+                "criterion_ci_high": cp.ci_high,
+                "criterion_analytic": cp.analytic,
+                "classification": diag.classification,
+            }
+            for n, cp, row in zip(diag.n_grid, diag.criterion, diag.estimates)
+            for lam, e in zip(diag.lambda_grid, row)
+        ]
         summary = {
             "experiment": "wlln",
             "rows": len(rows),
@@ -450,10 +410,11 @@ def _ready_call(cfg: dict, sub: dict, index: int, threads: int, confidence: floa
 def _compile(config, flags: dict):
     """The config with the flags applied, every rule of a run checked, and no sample path drawn.
 
-    Returns the config as the manifest records it, the results.csv
-    columns, the output directory, and one ready call per config, each
-    returning (rows, summary, violated).  Reading a config draws its
-    random vectors and weights, which its call then uses.
+    Returns the config as the manifest records it, the output directory,
+    and one ready call per config, each returning (rows, summary,
+    violated), a row being a dict of the results.csv columns in order.
+    Reading a config draws its random vectors and weights, which its
+    call then uses.
     """
     if not isinstance(config, dict):
         raise ConfigurationError("config root: expected a JSON object")
@@ -473,12 +434,12 @@ def _compile(config, flags: dict):
         for i, sub in enumerate(subs):
             if _get(sub, f"configs[{i}]", "experiment", str) not in _INEQ_EXPERIMENTS:
                 raise ConfigurationError(f"configs[{i}].experiment: sweeps accept only {_INEQ_EXPERIMENTS}")
-    if experiment != "construct":
-        if "seed" not in cfg:
-            raise ConfigurationError(
-                "missing required key seed (pass --seed or set it in the config;"
-                " there is no wall-clock default)"
-            )
+    if experiment != "construct" and "seed" not in cfg:
+        raise ConfigurationError(
+            "missing required key seed (pass --seed or set it in the config;"
+            " there is no wall-clock default)"
+        )
+    if "seed" in cfg:
         seed = _get(cfg, "", "seed", int)
         if not 0 <= seed < 2**64:
             raise ConfigurationError(f"seed: must lie in [0, 2^64), got {seed}")
@@ -490,8 +451,7 @@ def _compile(config, flags: dict):
         raise ConfigurationError(f"confidence: must lie in (0, 1), got {conf_v}")
     out_dir = Path(_get(cfg, "", "out", str, "sumtails_out"))
     calls = [_ready_call(cfg, sub, i, threads_v, conf_v) for i, sub in enumerate(subs)]
-    columns = {"wlln": WLLN_COLUMNS, "construct": CONSTRUCT_COLUMNS}.get(experiment, INEQ_COLUMNS)
-    return cfg, columns, out_dir, calls
+    return cfg, out_dir, calls
 
 
 def validate_config(cfg: dict) -> str:
@@ -506,7 +466,7 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
     """
     started = time.perf_counter()
     flags = {"seed": seed, "threads": threads, "out": out, "confidence": confidence}
-    cfg, columns, out_dir, calls = _compile(config if isinstance(config, dict) else _load_config(config), flags)
+    cfg, out_dir, calls = _compile(config if isinstance(config, dict) else _load_config(config), flags)
     rows, summaries, violated = [], [], False
     for call in calls:
         sub_rows, sub_summary, sub_violated = call()
@@ -516,7 +476,7 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
 
     exit_code = 1 if violated else 0
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "results.csv", columns, rows)
+    _write_csv(out_dir / "results.csv", rows)
     summary_doc = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg["experiment"],
@@ -524,9 +484,7 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         "total_rows": len(rows),
         "exit_code": exit_code,
     }
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary_doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "summary.json", summary_doc)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "sumtails",
@@ -534,18 +492,21 @@ def run(config, seed=None, threads=None, out=None, confidence=None) -> int:
         "config": cfg,
         "wall_time_s": time.perf_counter() - started,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return exit_code
 
 
-def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """The first row's keys as the header, then each row's values; every run has a row."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
+            writer.writerow([_fmt(v) for v in row.values()])
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(config_path) -> dict:

@@ -40,7 +40,7 @@ def _require_counts(successes, n) -> np.ndarray:
     k = np.asarray(successes)
     counts = k.dtype.kind in "iu" and np.asarray(n).dtype.kind in "iu" and n >= 1
     bad = (k < 0) | (k > n) if counts else np.True_
-    if bad.any():  # np.any(bad) costs 3 µs more per scalar count, once per exact estimate
+    if bad.any():
         rule = (
             f"lie in [0, {n}], got {k[bad][0]}"
             if counts
@@ -48,6 +48,11 @@ def _require_counts(successes, n) -> np.ndarray:
         )
         raise ConfigurationError(f"successes must {rule}")
     return k
+
+
+def _require_confidence(confidence: float) -> None:
+    if not (0 < confidence < 1):
+        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
 
 
 def clopper_pearson(successes, n: int, confidence: float = 0.99):
@@ -60,8 +65,7 @@ def clopper_pearson(successes, n: int, confidence: float = 0.99):
     per bound, equal entry by entry to the scalar form's floats.
     """
     k = _require_counts(successes, n)
-    if not (0 < confidence < 1):
-        raise ConfigurationError(f"confidence must lie in (0, 1), got {confidence}")
+    _require_confidence(confidence)
     # imported here, not at the top: scipy.special costs more start-up than the rest of
     # the program, and only a Monte Carlo interval needs it
     from scipy.special import betaincinv
@@ -107,17 +111,27 @@ class TailEstimate:
     def from_counts(
         cls, successes: int, replications: int, confidence: float = 0.99, exact: bool = False
     ) -> "TailEstimate":
-        if exact:
-            _require_counts(successes, replications)
-            p = successes / replications
-            return cls(p, successes, replications, p, p, True)
-        low, high = clopper_pearson(successes, replications, confidence)
-        return cls(successes / replications, successes, replications, low, high, False)
+        return _estimates(successes, replications, confidence, exact)[0]
 
     @classmethod
     def known(cls, p: float) -> "TailEstimate":
         """A probability known in closed form, carried as a degenerate estimate."""
         return cls(p, 0, 1, p, p, True)
+
+
+def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> list[TailEstimate]:
+    """One TailEstimate per count out of reps (a list of one for a scalar count).
+
+    Exact estimates take p = c / reps in Python arithmetic, which does not
+    round counts past 2^53 (exact Levy's 4^n pairs), as both bounds; the
+    others take Clopper-Pearson bounds from one quantile call per side.
+    """
+    if exact:
+        k = _require_counts(counts, reps).reshape(-1).tolist()
+        return [TailEstimate(c / reps, c, reps, c / reps, c / reps, True) for c in k]
+    low, high = clopper_pearson(counts, reps, confidence)
+    k, low, high = (np.reshape(a, -1).tolist() for a in (counts, low, high))
+    return [TailEstimate(c / reps, c, reps, lo, hi) for c, lo, hi in zip(k, low, high)]
 
 
 def _require_enumerable(n: int) -> None:

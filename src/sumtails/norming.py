@@ -142,18 +142,21 @@ class FunctionPair:
     """phi and psi, the piecewise-linear interpolants of a norming pair.
 
     knots = (0, 1, ..., N); a_grid = (0, a_1, ..., a_N) and likewise
-    b_grid.  Each of phi, psi and their inverses is a _Segments map over
-    these arrays, built once here: it equals np.interp bit for bit on
-    [0, last knot] and continues the last segment past it.
+    b_grid, derived from pair.  Each of phi, psi and their inverses is a
+    _Segments map over these arrays, built once here: it equals np.interp
+    bit for bit on [0, last knot] and continues the last segment past it.
     """
 
     pair: NormingPair
-    knots: np.ndarray = field(repr=False)
-    a_grid: np.ndarray = field(repr=False)
-    b_grid: np.ndarray = field(repr=False)
+    knots: np.ndarray = field(init=False, repr=False)
+    a_grid: np.ndarray = field(init=False, repr=False)
+    b_grid: np.ndarray = field(init=False, repr=False)
     _maps: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "knots", np.arange(0, len(self.pair) + 1, dtype=float))
+        object.__setattr__(self, "a_grid", np.concatenate(([0.0], self.pair.a)))
+        object.__setattr__(self, "b_grid", np.concatenate(([0.0], self.pair.b)))
         maps = {
             "phi": _Segments(self.knots, self.a_grid),
             "psi": _Segments(self.knots, self.b_grid),
@@ -202,8 +205,4 @@ class FunctionPair:
 
 
 def build_function_pair(pair: NormingPair) -> FunctionPair:
-    n = len(pair)
-    knots = np.arange(0, n + 1, dtype=float)
-    a_grid = np.concatenate(([0.0], pair.a))
-    b_grid = np.concatenate(([0.0], pair.b))
-    return FunctionPair(pair=pair, knots=knots, a_grid=a_grid, b_grid=b_grid)
+    return FunctionPair(pair)

@@ -21,9 +21,10 @@ from .errors import ConfigurationError, _refuse_nan
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
+    _estimates,
     _require_block_size,
+    _require_confidence,
     _require_enumerable,
-    clopper_pearson,
     enumerate_sign_norms,
     mc_counts,
 )
@@ -208,23 +209,11 @@ def _report_config(space: SpaceSpec, d: DistributionSpec | None = None, **fields
     return {**law, "dim": space.dim, "q": space.q, **fields}
 
 
-def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> list[TailEstimate]:
-    """One TailEstimate per count out of reps; Monte Carlo bounds take one quantile call per side."""
-    if exact:
-        return [TailEstimate.from_counts(int(c), reps, exact=True) for c in counts]
-    counts = np.asarray(counts, dtype=np.int64)
-    low, high = clopper_pearson(counts, reps, confidence)
-    return [
-        TailEstimate(c / reps, c, reps, lo, hi)
-        for c, lo, hi in zip(counts.tolist(), low.tolist(), high.tolist())
-    ]
-
-
 def _compare(
     name, tg, factor, config, confidence, mode, R, key, block_size, threads,
     sides, exact=None, tail=None, tail_weight=0,
 ):
-    """Refuses a bad mode or Monte Carlo input, else returns the pass: a report per threshold.
+    """Refuses a bad mode, confidence or Monte Carlo input, else returns the pass: a report per threshold.
 
     Exact mode takes exact(): what _counts_per_threshold returns for
     the lhs and for the rhs, and the number of equally likely outcomes.
@@ -234,6 +223,7 @@ def _compare(
     """
     if mode not in ("exact", "mc"):
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
+    _require_confidence(confidence)
     if mode == "mc":
         _require_stream(R, key)
         _require_block_size(block_size)
@@ -258,6 +248,30 @@ def _compare(
     return comparison
 
 
+def _signed_comparison(
+    name, u, u_scale, v, v_scale, space, tg, config, mode, R, key, confidence, block_size, threads
+):
+    """The pass of P(||sum R_i u_i|| > t u_scale) <= 2 P(||sum R_i v_i|| > t v_scale), R_i random signs.
+
+    Exact mode enumerates the 2^n sign patterns of both sides; Monte
+    Carlo draws them, one pattern serving both sides.
+    """
+    n = u.shape[0]
+    if mode == "exact":
+        _require_enumerable(n)
+
+    def exact():
+        lhs = _counts_per_threshold(enumerate_sign_norms(u, space), tg * u_scale)
+        rhs = _counts_per_threshold(enumerate_sign_norms(v, space), tg * v_scale)
+        return lhs, rhs, 1 << n
+
+    def sides(rng, m):
+        signs = _random_signs(rng, (m, n))
+        return norms(signs @ u, space) / u_scale, norms(signs @ v, space) / v_scale
+
+    return _compare(name, tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact)
+
+
 def _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads):
     """check_thm11_i's input rules; returns its pass."""
     xa = np.atleast_2d(np.asarray(x, dtype=float))
@@ -274,20 +288,8 @@ def _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size,
     t_vec = xa * rescale_factors(xnorms, fp)[:, None]
     tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)
     config = _report_config(space, n=n, a_n=a_n, b_n=b_n, mode=mode)
-    if mode == "exact":
-        _require_enumerable(n)
-
-    def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg * b_n)
-        rhs = _counts_per_threshold(enumerate_sign_norms(t_vec, space), tg * a_n)
-        return lhs, rhs, 1 << n
-
-    def sides(rng, m):
-        signs = _random_signs(rng, (m, n))
-        return norms(signs @ xa, space) / b_n, norms(signs @ t_vec, space) / a_n
-
-    return _compare(
-        "thm11_i", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    return _signed_comparison(
+        "thm11_i", xa, b_n, t_vec, a_n, space, tg, config, mode, R, key, confidence, block_size, threads
     )
 
 
@@ -325,21 +327,10 @@ def _prepare_contraction(x, alpha_weights, space, t_grid, mode, R, key, confiden
         raise ConfigurationError(f"|alpha_i| <= 1 fails at i = {i + 1}: alpha = {w[i]}")
     tg = _t_grid(t_grid, 1.2 * float(np.sum(norms(xa, space))))
     config = _report_config(space, n=n, mode=mode)
-    if mode == "exact":
-        _require_enumerable(n)
-    wx = w[:, None] * xa
-
-    def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(wx, space), tg)
-        rhs = _counts_per_threshold(enumerate_sign_norms(xa, space), tg)
-        return lhs, rhs, 1 << n
-
-    def sides(rng, m):
-        signs = _random_signs(rng, (m, n))
-        return norms(signs @ wx, space), norms(signs @ xa, space)
-
-    return _compare(
-        "contraction", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+    # s / 1.0 and t * 1.0 are exact, so the unit scales change no count
+    return _signed_comparison(
+        "contraction", w[:, None] * xa, 1.0, xa, 1.0, space, tg, config, mode, R, key, confidence,
+        block_size, threads,
     )
 
 
@@ -404,7 +395,7 @@ def _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads)
     def tail(exceed):
         if analytic_tail is not None:
             return TailEstimate.known(analytic_tail)
-        return TailEstimate.from_counts(int(exceed[0]), R * n, confidence)
+        return _estimates(exceed, R * n, confidence)[0]
 
     return _compare(
         "thm11_ii", tg, 4.0, config, confidence, "mc", R, key, block_size, threads,
@@ -584,10 +575,7 @@ def _criterion_points(
     The symmetrized variant estimates the tail of ||X - X'|| instead;
     it always samples (no closed form is attempted).
     """
-    analytic_vals = [None] * len(n_grid)
-    if not symmetrized:
-        analytic_vals = [tail_prob(d, b_n) for b_n in b_at]
-    counts = None
+    analytic_vals = [None if symmetrized else tail_prob(d, b_n) for b_n in b_at]
     if any(v is None for v in analytic_vals):
         stream = STREAM_CRITERION_SYMM if symmetrized else STREAM_CRITERION
         rng = key.substream(stream).generator()
@@ -596,14 +584,11 @@ def _criterion_points(
             x = x - draw(d, rng, criterion_R)
         counts, nan = _counts_per_threshold(norms(x, d.space), b_at)
         _refuse_nan(nan, criterion_R, "criterion sequence", "Monte Carlo")
-    points = []
-    for i, (n, a_val) in enumerate(zip(n_grid, analytic_vals)):
-        if a_val is not None:
-            points.append(CriterionPoint(n, TailEstimate.known(a_val), True))
-        else:
-            k = int(counts[i])
-            points.append(CriterionPoint(n, TailEstimate.from_counts(k, criterion_R, confidence), False))
-    return tuple(points)
+        sampled = _estimates(counts, criterion_R, confidence)
+    return tuple(
+        CriterionPoint(n, TailEstimate.known(a), True) if a is not None else CriterionPoint(n, sampled[i], False)
+        for i, (n, a) in enumerate(zip(n_grid, analytic_vals))
+    )
 
 
 def _prepare_wlln(
@@ -622,6 +607,7 @@ def _prepare_wlln(
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
     _require_stream(R, key)
     _require_block_size(block_size)
+    _require_confidence(confidence)
     if criterion_R < 1:
         raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")
     _require_ratio_monotone(pair)

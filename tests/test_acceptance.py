@@ -9,7 +9,9 @@ captured output of a failure).  Run this file alone with
 
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,10 @@ from sumtails.suite import (
     run_wlln,
 )
 from sumtails.transforms import TransformContext, desymmetrize_split, event_identity_all
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import csv_digests  # noqa: E402
 
 MASTER = StreamKey(7270027)
 
@@ -320,3 +326,12 @@ def test_criterion_10_thread_count_determinism(tmp_path):
             outs.append((out / "results.csv").read_bytes())
         assert outs[0] == outs[1], name
     _line(10, "thread-count determinism", True, "results.csv byte-identical for 1 vs 4 threads")
+
+
+@pytest.mark.parametrize("seed", [402, 403])
+def test_criterion_11_golden_digests(seed):
+    # seed 401 runs in the fast subset, tests/test_digests.py, which says what the digests cover
+    names = sorted(csv_digests.WORKLOADS)
+    problems = [p for name in names if (p := csv_digests.mismatch(csv_digests.GOLDEN, name, seed))]
+    _line(11, f"results.csv bytes at seed {seed} match the golden digests", not problems)
+    assert not problems, "\n".join(problems)

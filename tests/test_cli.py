@@ -59,19 +59,22 @@ WLLN_CFG = {
 }
 
 
+CONSTRUCT_CFG = {
+    "schema_version": 1,
+    "experiment": "construct",
+    "norming": {"kind": "power", "n_max": 10, "exp_a": 0.5, "exp_b": 1.0},
+}
+
+
 def test_validate_config_accepts_each_experiment():
     assert cli.validate_config(THM11_I_CFG) == "thm11_i"
     assert cli.validate_config(LEVY_CFG) == "levy"
     assert cli.validate_config(WLLN_CFG) == "wlln"
-    construct = {
-        "schema_version": 1,
-        "experiment": "construct",
-        "norming": {"kind": "power", "n_max": 10, "exp_a": 0.5, "exp_b": 1.0},
-    }
-    assert cli.validate_config(construct) == "construct"
+    assert cli.validate_config(CONSTRUCT_CFG) == "construct"
+    assert cli.validate_config(dict(CONSTRUCT_CFG, seed=3)) == "construct"
     # run refuses an empty norming, so validate does too
     with pytest.raises(ConfigurationError, match="missing required key norming.kind"):
-        cli.validate_config(dict(construct, norming={}))
+        cli.validate_config(dict(CONSTRUCT_CFG, norming={}))
 
 
 def test_validate_config_errors():
@@ -99,7 +102,13 @@ def test_run_thm11_i_exact(tmp_path):
     code = cli.run(THM11_I_CFG, out=str(out))
     assert code == 0
     rows = _read_csv(out / "results.csv")
-    assert rows[0] == cli.INEQ_COLUMNS
+    # the header the README documents
+    assert rows[0] == [
+        "config_index", "experiment", "t", "n", "lhs_p", "lhs_ci_low", "lhs_ci_high",
+        "rhs_p", "rhs_ci_low", "rhs_ci_high", "factor", "tail_p", "tail_ci_high",
+        "tail_weight", "rhs_bound", "rhs_bound_ci_high", "slack", "sigma_margin",
+        "verdict", "exact",
+    ]
     assert len(rows) == 1 + 4  # header + one row per t
     verdicts = {r[rows[0].index("verdict")] for r in rows[1:]}
     assert verdicts == {"holds"}
@@ -193,7 +202,11 @@ def test_wlln_rows(tmp_path):
     out = tmp_path / "w"
     assert cli.run(WLLN_CFG, out=str(out)) == 0
     rows = _read_csv(out / "results.csv")
-    assert rows[0] == cli.WLLN_COLUMNS
+    assert rows[0] == [
+        "config_index", "experiment", "n", "lambda", "p_hat", "ci_low", "ci_high",
+        "criterion_value", "criterion_ci_low", "criterion_ci_high", "criterion_analytic",
+        "classification",
+    ]
     assert len(rows) == 1 + 2 * 2  # (n grid) x (lambda grid)
     cls = {r[rows[0].index("classification")] for r in rows[1:]}
     assert len(cls) == 1 and cls <= {"converges", "bounded_away", "undecided"}
@@ -689,6 +702,9 @@ REFUSAL_CASES += [
         {},
         "missing required key seed (pass --seed or set it in the config; there is no wall-clock default)",
     ),
+    # construct draws nothing and needs no seed, but one it carries is checked
+    (dict(CONSTRUCT_CFG, seed="x"), {}, "seed: expected an integer, got 'x'"),
+    (dict(CONSTRUCT_CFG, seed=-1), {}, "seed: must lie in [0, 2^64), got -1"),
 ]
 
 

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from sumtails.errors import ConfigurationError, DomainError
 from sumtails.norming import (
+    FunctionPair,
     NormingPair,
     build_function_pair,
     check_ratio_monotone,
@@ -116,6 +117,19 @@ def test_knot_values_exact():
         assert fp.phi(float(n)) == pair.a[n - 1]
         assert fp.psi(float(n)) == pair.b[n - 1]
     assert fp.phi(0.0) == 0.0 and fp.psi(0.0) == 0.0
+
+
+def test_function_pair_grids_come_from_its_pair():
+    # grids passed beside the pair could disagree with it, and slope_ratio,
+    # the continuation check and rescale_factors each read different data
+    pair = power_pair(6, 0.5, 1.0)
+    fp = FunctionPair(pair)
+    assert np.array_equal(fp.knots, np.arange(7.0))
+    assert np.array_equal(fp.a_grid, np.concatenate(([0.0], pair.a)))
+    assert np.array_equal(fp.b_grid, np.concatenate(([0.0], pair.b)))
+    assert build_function_pair(pair).slope_ratio == fp.slope_ratio
+    with pytest.raises(TypeError):
+        FunctionPair(pair, knots=np.arange(7.0), a_grid=fp.a_grid, b_grid=2 * fp.b_grid)
 
 
 def test_interpolation_example():

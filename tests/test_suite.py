@@ -106,6 +106,35 @@ def test_thm11_i_mode_errors():
         check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="mc", R=50, key=KEY)
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.5])
+def test_confidence_refused_before_the_first_draw(monkeypatch, confidence):
+    # check_thm11_ii used to run its whole pass and only then refuse, in clopper_pearson
+    def no_pass(*args, **kwargs):
+        pytest.fail("a pass ran before the confidence was checked")
+
+    for name in ("mc_counts", "enumerate_sign_norms", "draw", "gamma_n"):
+        monkeypatch.setattr(suite, name, no_pass)
+    sp = SpaceSpec(1, 2)
+    x, w = [[0.5], [1.0]], [0.5, -0.5]
+    checks = [
+        lambda: check_thm11_ii(pareto_symmetric(1.5), SQRT_PAIR, 4, R=20000, key=KEY, confidence=confidence),
+        lambda: check_thm11_i(x, SQRT_PAIR, sp, confidence=confidence),
+        lambda: check_thm11_i(x, SQRT_PAIR, sp, mode="mc", R=1000, key=KEY, confidence=confidence),
+        lambda: check_contraction(x, w, sp, confidence=confidence),
+        lambda: check_contraction(x, w, sp, mode="mc", R=1000, key=KEY, confidence=confidence),
+        lambda: check_levy(rademacher(), 4, mode="exact", confidence=confidence),
+        lambda: check_levy(rademacher(), 4, R=1000, key=KEY, confidence=confidence),
+        lambda: run_wlln(pareto_one_sided(2.0), power_pair(16, 0.5), R=1000, key=KEY, confidence=confidence),
+        lambda: cross_check_symmetrization(
+            uniform_ball(1.0), power_pair(16, 0.5), R=1000, key=KEY, confidence=confidence
+        ),
+    ]
+    for check in checks:
+        with pytest.raises(ConfigurationError) as info:
+            check()
+        assert str(info.value) == f"confidence must lie in (0, 1), got {confidence}"
+
+
 def test_exact_mode_refuses_nan():
     # a NaN input made every statistic NaN, which counted as no event: lhs = rhs = 0, "holds"
     nan = float("nan")

@@ -3,18 +3,19 @@
     python3 tools/mutants.py
 
 Each mutant is one exact-match text replacement in one file under src/.
-For each, the runner copies src/, tests/ and pyproject.toml into a
-temporary directory, applies the replacement there, runs the fast test
-subset (every test file but the acceptance gate, without the
-console-script test, stopping at the first failure) and prints "killed"
-when a test fails or "survived" when all pass.  A mutant that makes the
-subset run longer than four times the unmutated run plus 30 s (a loop
-that never ends, say) counts as killed; its whole process group is
-killed with it.  An unmutated run goes first and must pass, and a
-replacement whose text does not occur exactly once is an error, so a
-stale mutant can never count as killed.  Every mutant runs each time,
-so the printed score always means the same thing; the exit code is 0
-when every one was killed.
+For each, the runner copies src/, tests/, bench/, tools/ and
+pyproject.toml into a temporary directory (the golden-digest test runs
+the benchmark workloads through tools/csv_digests.py), applies the
+replacement there, runs the fast test subset (every test file but the
+acceptance gate, without the console-script test, stopping at the
+first failure) and prints "killed" when a test fails or "survived"
+when all pass.  A mutant that makes the subset run longer than four
+times the unmutated run plus 30 s (a loop that never ends, say) counts
+as killed; its whole process group is killed with it.  An unmutated run
+goes first and must pass, and a replacement whose text does not occur
+exactly once is an error, so a stale mutant can never count as killed.
+Every mutant runs each time, so the printed score always means the
+same thing; the exit code is 0 when every one was killed.
 
 The technique is DeMillo, Lipton & Sayward, "Hints on test data
 selection" (IEEE Computer, 1978).
@@ -102,7 +103,23 @@ MUTANTS = (
     Mutant("levy_comb_index", "suite.py", "math.comb(2 * n, j)", "math.comb(2 * n + 1, j)"),
     Mutant("shifted_lifting_accepted", "cli.py", '        if "lifting" in dc:', "        if False:"),
     Mutant("rescale_at_zero", "transforms.py", "positive = part > 0.0", "positive = part >= 0.0"),
-    Mutant("contraction_weights_dropped", "suite.py", "    wx = w[:, None] * xa\n", "    wx = xa\n"),
+    Mutant(
+        "contraction_weights_dropped", "suite.py", '"contraction", w[:, None] * xa, 1.0,', '"contraction", xa, 1.0,'
+    ),
+    # the one signed-sum pass and the one count-to-estimate builder
+    Mutant("v_scale_ignored_in_sides", "suite.py", "norms(signs @ v, space) / v_scale", "norms(signs @ v, space)"),
+    Mutant(
+        "exact_estimates_get_intervals",
+        "estimator.py",
+        "    if exact:\n        k = _require_counts(counts, reps)",
+        "    if False:\n        k = _require_counts(counts, reps)",
+    ),
+    Mutant(
+        "confidence_checked_after_pass",
+        "suite.py",
+        "    _require_confidence(confidence)\n    if mode == \"mc\":\n",
+        "    if mode == \"mc\":\n",
+    ),
     Mutant(
         "thm11_i_ratio_unchecked",
         "suite.py",
@@ -161,6 +178,14 @@ MUTANTS = (
     ),
     Mutant("signs_without_count", "sources.py", "dtype=np.uint8), count=n)", "dtype=np.uint8))"),
     Mutant("pareto_magnitude_unscaled", "sources.py", "        u *= 2.0\n", ""),
+    # one random vector's radius one ulp larger: only the golden digests see it, through the
+    # default t grid of exact_enumeration at seed 401 (most one-ulp moves there change no byte)
+    Mutant(
+        "one_draw_one_ulp",
+        "sources.py",
+        "    return dirs * radii[:, None]\n",
+        "    radii[6 % count] = np.nextafter(radii[6 % count], np.inf)\n    return dirs * radii[:, None]\n",
+    ),
     # stream keys
     Mutant("child_ignores_replication", "sources.py", "if self.replication_index == 0:", "if True:"),
     Mutant(
@@ -243,8 +268,8 @@ def run_tests(tree: Path, timeout: float | None = None) -> str:
 
 def copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
-    shutil.copytree(ROOT / "src", dest / "src", ignore=ignore)
-    shutil.copytree(ROOT / "tests", dest / "tests", ignore=ignore)
+    for tree in ("src", "tests", "bench", "tools"):
+        shutil.copytree(ROOT / tree, dest / tree, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
