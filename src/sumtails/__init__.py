@@ -29,7 +29,7 @@ from .sources import (
     stable_symmetric,
     uniform_ball,
 )
-from .space import SpaceSpec, norm, norms, vsum
+from .space import SpaceSpec, norm, norms
 from .suite import (
     InequalityReport,
     SymmetrizationCrossCheck,
@@ -41,14 +41,7 @@ from .suite import (
     cross_check_symmetrization,
     run_wlln,
 )
-from .transforms import (
-    TransformContext,
-    desymmetrize_split,
-    event_identity_holds,
-    gamma_n,
-    rescale,
-    truncate,
-)
+from .transforms import gamma_n, rescale
 
 __all__ = [
     "__version__",
@@ -57,7 +50,6 @@ __all__ = [
     "SpaceSpec",
     "norm",
     "norms",
-    "vsum",
     "NormingPair",
     "FunctionPair",
     "build_function_pair",
@@ -73,11 +65,7 @@ __all__ = [
     "point_mass",
     "shifted",
     "sample",
-    "TransformContext",
     "rescale",
-    "truncate",
-    "event_identity_holds",
-    "desymmetrize_split",
     "gamma_n",
     "TailEstimate",
     "clopper_pearson",

@@ -126,6 +126,7 @@ def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> lis
     round counts past 2^53 (exact Levy's 4^n pairs), as both bounds; the
     others take Clopper-Pearson bounds from one quantile call per side.
     """
+    _require_confidence(confidence)
     if exact:
         k = _require_counts(counts, reps).reshape(-1).tolist()
         return [TailEstimate(c / reps, c, reps, c / reps, c / reps, True) for c in k]
@@ -188,6 +189,11 @@ def _require_block_size(block_size: int) -> None:
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
 
 
+def _require_threads(threads: int) -> None:
+    if threads < 1:
+        raise ConfigurationError(f"threads must be >= 1, got {threads}")
+
+
 def mc_counts(
     block_fn, R: int, key: StreamKey, *, block_size: int = DEFAULT_BLOCK_SIZE, threads: int = 1
 ) -> tuple:
@@ -206,6 +212,7 @@ def mc_counts(
     if R < 1:
         raise ConfigurationError(f"R must be >= 1, got {R}")
     _require_block_size(block_size)
+    _require_threads(threads)
     blocks = -(-R // block_size)
     lock = threading.Lock()
     claimed = 0

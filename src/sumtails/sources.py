@@ -453,39 +453,29 @@ def _scalar_cdf(d: DistributionSpec):
     return None
 
 
+def _pareto_partial_mean(a: float, lo: float, hi: float) -> float:
+    """E[X 1{lo <= X <= hi}] for the one-sided Pareto law of index a, support [1, inf)."""
+    l = max(lo, 1.0)
+    if hi < l:
+        return 0.0
+    if a == 1.0:
+        return math.log(hi / l)
+    return a / (a - 1.0) * (l ** (1.0 - a) - hi ** (1.0 - a))
+
+
 def _scalar_partial_mean(d: DistributionSpec, lo: float, hi: float) -> float | None:
     """E[X 1{lo <= X <= hi}] for the scalar law, closed form or None."""
     if hi < lo:
         return 0.0
     k = d.kind
     if k == "rademacher":
-        out = 0.0
-        if lo <= -1.0 <= hi:
-            out -= 0.5
-        if lo <= 1.0 <= hi:
-            out += 0.5
-        return out
+        return 0.5 * ((lo <= 1.0 <= hi) - (lo <= -1.0 <= hi))
     if k == "pareto_one_sided":
-        a, l, h = d.alpha, max(lo, 1.0), hi
-        if h < l:
-            return 0.0
-        if a == 1.0:
-            return math.log(h / l)
-        return a / (a - 1.0) * (l ** (1.0 - a) - h ** (1.0 - a))
+        return _pareto_partial_mean(d.alpha, lo, hi)
     if k == "pareto_symmetric":
-        a = d.alpha
-
-        def upper(l, h):
-            # integral of t * (a/2) t^(-a-1) over [l, h], support t >= 1
-            l = max(l, 1.0)
-            if h < l:
-                return 0.0
-            if a == 1.0:
-                return 0.5 * math.log(h / l)
-            return 0.5 * a / (a - 1.0) * (l ** (1.0 - a) - h ** (1.0 - a))
-
-        pos = upper(lo, hi) if hi >= 1.0 else 0.0
-        neg = -upper(-hi, -lo) if lo <= -1.0 else 0.0
+        # each half carries half the one-sided law, mirrored below zero; halving is exact
+        pos = 0.5 * _pareto_partial_mean(d.alpha, lo, hi) if hi >= 1.0 else 0.0
+        neg = -(0.5 * _pareto_partial_mean(d.alpha, -hi, -lo)) if lo <= -1.0 else 0.0
         return pos + neg
     if k == "uniform_ball":
         r = d.radius

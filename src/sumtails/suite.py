@@ -25,6 +25,7 @@ from .estimator import (
     _require_block_size,
     _require_confidence,
     _require_enumerable,
+    _require_threads,
     enumerate_sign_norms,
     mc_counts,
 )
@@ -156,27 +157,20 @@ def _t_grid(t_grid, default_stop: float) -> np.ndarray:
     return _as_grid(t_grid, "t_grid")
 
 
-def _counts_per_threshold(stat: np.ndarray, thresholds, weights=None) -> tuple[np.ndarray, int]:
-    """How many entries of stat exceed each threshold (or their total weight), and how many are NaN.
+def _counts_per_threshold(stat: np.ndarray, thresholds) -> tuple[np.ndarray, int]:
+    """How many entries of stat exceed each threshold, and how many are NaN.
 
     Counts exactly what the strict stat > t of every event in this
     package counts: ties do not exceed and NaN never does, which is why
     the NaN count comes back too.  stat is sorted once and each
     threshold found by binary search.
     """
-    if weights is None:
-        ordered = np.sort(stat)
-    else:
-        order = np.argsort(stat, kind="stable")
-        ordered = stat[order]
-        cum = np.concatenate(([0], np.cumsum(np.asarray(weights, dtype=np.int64)[order])))
+    ordered = np.sort(stat)
     # NaN sorts last; the entries before the first NaN are the comparable ones
     valid = int(np.searchsorted(ordered, np.nan))
     at_most = np.searchsorted(ordered[:valid], thresholds, side="right")
     nan = stat.size - valid
-    if weights is None:
-        return valid - at_most, nan
-    return cum[valid] - cum[at_most], nan
+    return valid - at_most, nan
 
 
 def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
@@ -203,6 +197,13 @@ def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
     return counts, extra
 
 
+def _require_mc(R, key, block_size, threads) -> None:
+    """What a Monte Carlo pass needs before its first draw: the stream, R, the block size, the threads."""
+    _require_stream(R, key)
+    _require_block_size(block_size)
+    _require_threads(threads)
+
+
 def _report_config(space: SpaceSpec, d: DistributionSpec | None = None, **fields) -> dict:
     """A report's config: the law's kind and lifting if there is a law, the space, then fields."""
     law = {} if d is None else {"kind": d.kind, "lifting": d.lifting}
@@ -215,8 +216,9 @@ def _compare(
 ):
     """Refuses a bad mode, confidence or Monte Carlo input, else returns the pass: a report per threshold.
 
-    Exact mode takes exact(): what _counts_per_threshold returns for
-    the lhs and for the rhs, and the number of equally likely outcomes.
+    Exact mode takes exact(): the counts and NaN count of the lhs and of
+    the rhs, as _counts_per_threshold returns them, and the number of
+    equally likely outcomes.
     Monte Carlo runs sides, the lhs and rhs statistics and any ints,
     through _mc_pass; tail(totals) turns the totals of those ints into
     the tail term, which the bound weighs by tail_weight.
@@ -225,8 +227,7 @@ def _compare(
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
     _require_confidence(confidence)
     if mode == "mc":
-        _require_stream(R, key)
-        _require_block_size(block_size)
+        _require_mc(R, key, block_size, threads)
 
     def comparison():
         tail_term = None
@@ -444,16 +445,15 @@ def _prepare_levy(d, n, t_grid, R, key, b_n, mode, confidence, block_size, threa
             )
 
     def exact():
+        thr = tg * b_n
+        # the maximal difference is 0 in the 2^n of the 4^n sign pairs where every difference is, else 2
+        lhs = np.where(2.0 > thr, 4**n - 2**n, 0)
         # each difference is -2, 0 or +2 from 1, 2 and 1 of the four sign
         # pairs, so the sign pairs giving S_n - S_n' = 2(j - n) number
         # the j-th coefficient of (1 + 2z + z^2)^n = (1 + z)^(2n)
-        sum_weights = np.array([math.comb(2 * n, j) for j in range(2 * n + 1)], dtype=np.int64)
-        # the maximal difference is 0 only when every difference is
-        max_weights = np.array([2**n, 4**n - 2**n], dtype=np.int64)
-        thr = tg * b_n
-        lhs = _counts_per_threshold(np.array([0.0, 2.0]), thr, max_weights)
-        rhs = _counts_per_threshold(np.abs(2.0 * np.arange(-n, n + 1)), thr, sum_weights)
-        return lhs, rhs, 4**n
+        weights = np.array([math.comb(2 * n, j) for j in range(2 * n + 1)], dtype=np.int64)
+        rhs = weights @ (np.abs(2.0 * np.arange(-n, n + 1))[:, None] > thr)
+        return (lhs, 0), (rhs, 0), 4**n
 
     def sides(rng, m):
         x = draw(d, rng, (m, n))
@@ -605,8 +605,7 @@ def _prepare_wlln(
     the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
-    _require_stream(R, key)
-    _require_block_size(block_size)
+    _require_mc(R, key, block_size, threads)
     _require_confidence(confidence)
     if criterion_R < 1:
         raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")

@@ -109,15 +109,10 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
         into = out[start : start + _RESCALE_SLICE]
         out_norm = fp.phi(fp.psi_inverse(part))
         positive = part > 0.0
-        try:
-            with np.errstate(invalid="raise"):
-                np.divide(out_norm, part, out=into, where=positive)
-        except FloatingPointError:
-            # inf / inf is the only invalid division here, so finite norms
-            # pay no extra pass for this overflow case
-            with np.errstate(invalid="ignore"):
-                np.divide(out_norm, part, out=into, where=positive)
-            into[part == np.inf] = fp.slope_ratio
+        # inf / inf is the only invalid division here; its NaN is overwritten
+        with np.errstate(invalid="ignore"):
+            np.divide(out_norm, part, out=into, where=positive)
+        into[part == np.inf] = fp.slope_ratio
     return out.reshape(s.shape)
 
 

@@ -132,6 +132,13 @@ def test_from_counts_refuses_zero_replications():
             TailEstimate.from_counts(3, 0, exact=exact)
 
 
+@pytest.mark.parametrize("confidence", [0.0, 1.5])
+def test_exact_estimates_refuse_a_bad_confidence(confidence):
+    # an exact estimate has no interval, yet it once carried any confidence it was given
+    with pytest.raises(ConfigurationError, match=rf"confidence must lie in \(0, 1\), got {confidence}"):
+        TailEstimate.from_counts(3, 8, confidence=confidence, exact=True)
+
+
 @pytest.mark.parametrize("n", [100, 4000, 16384, 10**6])
 def test_clopper_pearson_array_equals_scalar(n):
     rng = np.random.default_rng(n)
@@ -480,6 +487,9 @@ def test_mc_errors():
         mc_counts(lambda rng, m: (), 0, KEY)
     with pytest.raises(ConfigurationError):
         mc_counts(lambda rng, m: (), 10, KEY, block_size=0)
+    for threads in (0, -3):
+        with pytest.raises(ConfigurationError, match=f"threads must be >= 1, got {threads}"):
+            mc_counts(lambda rng, m: (), 10, KEY, threads=threads)
 
 
 def test_clopper_pearson_coverage():

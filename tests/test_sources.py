@@ -378,6 +378,58 @@ def test_truncated_mean_shifted_against_quadrature():
         assert truncated_mean(d, b)[0] == pytest.approx(oracle, abs=1e-9)
 
 
+def _density(d):
+    """The Lebesgue density of a scalar law without atoms."""
+    k, a = d.kind, d.alpha
+    if k == "pareto_symmetric":
+        return lambda y: 0.5 * a * abs(y) ** (-a - 1.0) if abs(y) >= 1.0 else 0.0
+    if k == "pareto_one_sided":
+        return lambda y: a * y ** (-a - 1.0) if y >= 1.0 else 0.0
+    if k == "uniform_ball":
+        return lambda y: 0.5 / d.radius if abs(y) <= d.radius else 0.0
+    if a == 1.0:
+        return lambda y: 1.0 / (math.pi * (1.0 + y * y))
+    # alpha 2 is the normal law of variance 2
+    return lambda y: math.exp(-y * y / 4.0) / (2.0 * math.sqrt(math.pi))
+
+
+def _integral(d, g, lo, hi):
+    """The integral of g over [lo, hi] under the scalar law d; the Pareto and uniform kinks at +-1 split it."""
+    if d.kind == "rademacher":
+        return sum(0.5 * g(y) for y in (-1.0, 1.0) if lo <= y <= hi)
+    f = _density(d)
+    edges = [lo] + [e for e in (-1.0, 1.0) if lo < e < hi] + [hi]
+    return sum(
+        quad(lambda y: g(y) * f(y), a, b, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+        for a, b in zip(edges, edges[1:])
+    )
+
+
+_SHIFTED_BASES = [
+    *(pareto_symmetric(a) for a in (0.5, 1.0, 1.5, 3.0)),
+    stable_symmetric(1.0),
+    stable_symmetric(2.0),
+    uniform_ball(1.0),
+    rademacher(),
+    pareto_one_sided(1.5),
+]
+
+
+@pytest.mark.parametrize("base", _SHIFTED_BASES, ids=lambda d: f"{d.kind}-{d.alpha}")
+@pytest.mark.parametrize("c", [0.7, -2.3])
+def test_shifted_closed_forms_against_quadrature(base, c):
+    # a shift is the only way to reach the scalar CDFs and partial means of these laws
+    d = shifted(base, [c])
+    for t in (0.0, 0.5, 1.0, 1.7, 3.0, 6.5):
+        lo, hi = -t - c, t - c
+        assert tail_prob(d, t) == pytest.approx(1.0 - _integral(base, lambda y: 1.0, lo, hi), abs=1e-9)
+        mean = truncated_mean(d, t)
+        if base.kind == "stable_symmetric":
+            assert mean is None
+        else:
+            assert mean[0] == pytest.approx(_integral(base, lambda y: y + c, lo, hi), abs=1e-9)
+
+
 @pytest.mark.parametrize("c", [-1.0, -0.5, 0.0, 0.5, 1.0])
 def test_shifted_random_signs_against_two_point_enumeration(c):
     # Y = X + c takes c - 1 and c + 1 with probability 1/2 each; t and the

@@ -106,33 +106,46 @@ def test_thm11_i_mode_errors():
         check_thm11_i([[1.0]], SQRT_PAIR, sp, mode="mc", R=50, key=KEY)
 
 
-@pytest.mark.parametrize("confidence", [0.0, 1.5])
-def test_confidence_refused_before_the_first_draw(monkeypatch, confidence):
-    # check_thm11_ii used to run its whole pass and only then refuse, in clopper_pearson
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"confidence": 0.0}, "confidence must lie in (0, 1), got 0.0"),
+        ({"confidence": 1.5}, "confidence must lie in (0, 1), got 1.5"),
+        ({"threads": 0}, "threads must be >= 1, got 0"),
+        ({"threads": -3}, "threads must be >= 1, got -3"),
+    ],
+    ids=["0.0", "1.5", "threads=0", "threads=-3"],
+)
+def test_confidence_refused_before_the_first_draw(monkeypatch, bad, message):
+    # check_thm11_ii used to run its whole pass and only then refuse, in clopper_pearson,
+    # and threads < 1 ran as one worker
     def no_pass(*args, **kwargs):
-        pytest.fail("a pass ran before the confidence was checked")
+        pytest.fail("a pass ran before the input was checked")
 
     for name in ("mc_counts", "enumerate_sign_norms", "draw", "gamma_n"):
         monkeypatch.setattr(suite, name, no_pass)
     sp = SpaceSpec(1, 2)
     x, w = [[0.5], [1.0]], [0.5, -0.5]
+    mc = dict(R=1000, key=KEY, **bad)
     checks = [
-        lambda: check_thm11_ii(pareto_symmetric(1.5), SQRT_PAIR, 4, R=20000, key=KEY, confidence=confidence),
-        lambda: check_thm11_i(x, SQRT_PAIR, sp, confidence=confidence),
-        lambda: check_thm11_i(x, SQRT_PAIR, sp, mode="mc", R=1000, key=KEY, confidence=confidence),
-        lambda: check_contraction(x, w, sp, confidence=confidence),
-        lambda: check_contraction(x, w, sp, mode="mc", R=1000, key=KEY, confidence=confidence),
-        lambda: check_levy(rademacher(), 4, mode="exact", confidence=confidence),
-        lambda: check_levy(rademacher(), 4, R=1000, key=KEY, confidence=confidence),
-        lambda: run_wlln(pareto_one_sided(2.0), power_pair(16, 0.5), R=1000, key=KEY, confidence=confidence),
-        lambda: cross_check_symmetrization(
-            uniform_ball(1.0), power_pair(16, 0.5), R=1000, key=KEY, confidence=confidence
-        ),
+        lambda: check_thm11_ii(pareto_symmetric(1.5), SQRT_PAIR, 4, **dict(mc, R=20000)),
+        lambda: check_thm11_i(x, SQRT_PAIR, sp, mode="mc", **mc),
+        lambda: check_contraction(x, w, sp, mode="mc", **mc),
+        lambda: check_levy(rademacher(), 4, **mc),
+        lambda: run_wlln(pareto_one_sided(2.0), power_pair(16, 0.5), **mc),
+        lambda: cross_check_symmetrization(uniform_ball(1.0), power_pair(16, 0.5), **mc),
     ]
+    if "confidence" in bad:
+        # exact mode spends no threads
+        checks += [
+            lambda: check_thm11_i(x, SQRT_PAIR, sp, **bad),
+            lambda: check_contraction(x, w, sp, **bad),
+            lambda: check_levy(rademacher(), 4, mode="exact", **bad),
+        ]
     for check in checks:
         with pytest.raises(ConfigurationError) as info:
             check()
-        assert str(info.value) == f"confidence must lie in (0, 1), got {confidence}"
+        assert str(info.value) == message
 
 
 def test_exact_mode_refuses_nan():
@@ -440,14 +453,45 @@ def test_contraction_is_sharp_at_a_known_answer():
         assert r.sigma_margin == math.inf
 
 
-def test_levy_with_factor_one_is_violated(monkeypatch):
-    # at n = 2, for t * b_n < 2, lhs is 3/4 and rhs 5/8: the bound fails without its factor 2
+def _lower_factor(monkeypatch, factor):
+    """Every comparison from here on claims factor in place of its constant."""
     compare = suite._compare
 
-    def factor_one(name, tg, factor, *args, **kwargs):
-        return compare(name, tg, 1.0, *args, **kwargs)
+    def lowered(name, tg, constant, *args, **kwargs):
+        return compare(name, tg, factor, *args, **kwargs)
 
-    monkeypatch.setattr(suite, "_compare", factor_one)
+    monkeypatch.setattr(suite, "_compare", lowered)
+
+
+def test_thm11_i_with_factor_below_two_is_violated(monkeypatch):
+    # n = 2 with a_n = 2^0.25 and b_n = 2: at t = 0.98 lhs is 1 and rhs 1/2, so the
+    # factor 2 is attained with slack 0, and both paths must catch a lower one
+    fp = build_function_pair(power_pair(2, 0.25, 1.0))
+    x, sp = [[0.024], [2.0]], SpaceSpec(1, 2)
+    (r,) = check_thm11_i(x, fp, sp, t_grid=[0.98])
+    assert (r.lhs.p_hat, r.rhs.p_hat, r.slack, r.verdict) == (1.0, 0.5, 0.0, "holds")
+    _lower_factor(monkeypatch, 1.9)
+    exact = check_thm11_i(x, fp, sp, t_grid=[0.98])
+    mc = check_thm11_i(x, fp, sp, t_grid=[0.98], mode="mc", R=10**4, key=StreamKey(5))
+    for r in exact + mc:
+        assert (r.factor, r.verdict) == (1.9, "violated")
+        assert r.sigma_margin < 0
+
+
+def test_contraction_with_factor_below_two_is_violated(monkeypatch):
+    # the instance of test_contraction_is_sharp_at_a_known_answer, where the factor 2 is attained
+    x, w, sp = [[1.0], [1.0]], [1.0, 0.0], SpaceSpec(1, 2)
+    _lower_factor(monkeypatch, 1.9)
+    exact = check_contraction(x, w, sp, t_grid=[0.5])
+    mc = check_contraction(x, w, sp, t_grid=[0.5], mode="mc", R=10**4, key=StreamKey(5))
+    for r in exact + mc:
+        assert (r.factor, r.verdict) == (1.9, "violated")
+        assert r.sigma_margin < 0
+
+
+def test_levy_with_factor_one_is_violated(monkeypatch):
+    # at n = 2, for t * b_n < 2, lhs is 3/4 and rhs 5/8: the bound fails without its factor 2
+    _lower_factor(monkeypatch, 1.0)
     exact = check_levy(rademacher(), n=2, t_grid=[0.5, 1.5], mode="exact")
     assert [(r.lhs.p_hat, r.rhs.p_hat) for r in exact] == [(0.75, 0.625)] * 2
     mc = check_levy(rademacher(), n=2, t_grid=[0.5, 1.5], R=10**4, key=KEY)
@@ -513,16 +557,10 @@ def test_counts_per_threshold_matches_boolean_matrix(data):
     # thresholds are unsorted, may repeat, and may tie with entries of stat
     ties = st.sampled_from(stat.tolist()) if stat.size else _VALUES
     thr = np.array(data.draw(st.lists(st.one_of(_VALUES, ties), min_size=1, max_size=12)), dtype=float)
-    weights = np.array(
-        data.draw(st.lists(st.integers(0, 10**6), min_size=stat.size, max_size=stat.size)),
-        dtype=np.int64,
-    )
     hits = stat[:, None] > thr[None, :]
     nan = int(np.isnan(stat).sum())
     counts, got_nan = _counts_per_threshold(stat, thr)
     assert np.array_equal(counts, hits.sum(axis=0)) and got_nan == nan
-    counts, got_nan = _counts_per_threshold(stat, thr, weights)
-    assert np.array_equal(counts, (hits * weights[:, None]).sum(axis=0)) and got_nan == nan
 
 
 # ------------------------------------------------------- randomized soundness

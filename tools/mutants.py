@@ -242,8 +242,31 @@ MUTANTS = (
     Mutant(
         "infinite_norm_rescaled_to_nan",
         "transforms.py",
-        "            into[part == np.inf] = fp.slope_ratio\n",
+        "        into[part == np.inf] = fp.slope_ratio\n",
         "",
+    ),
+    # the Monte Carlo rules and the exact estimates' confidence
+    Mutant("threads_rule_dropped", "estimator.py", "    if threads < 1:\n", "    if False:\n"),
+    Mutant(
+        "exact_estimates_skip_confidence",
+        "estimator.py",
+        "    _require_confidence(confidence)\n    if exact:\n",
+        "    if exact:\n",
+    ),
+    # the closed forms reached only through shifted laws
+    Mutant(
+        "pareto_symmetric_mean_sign",
+        "sources.py",
+        "neg = -(0.5 * _pareto_partial_mean(",
+        "neg = (0.5 * _pareto_partial_mean(",
+    ),
+    # power: an rhs that counts every replication whose lhs exceeds can never be violated
+    Mutant(
+        "rhs_from_lhs_event",
+        "suite.py",
+        "norms(signs @ u, space) / u_scale, norms(signs @ v, space) / v_scale",
+        "norms(signs @ u, space) / u_scale,"
+        " np.maximum(norms(signs @ u, space) / u_scale, norms(signs @ v, space) / v_scale)",
     ),
 )
 
