@@ -41,7 +41,7 @@ from .suite import (
     cross_check_symmetrization,
     run_wlln,
 )
-from .transforms import gamma_n, rescale
+from .transforms import gamma_n
 
 __all__ = [
     "__version__",
@@ -65,7 +65,6 @@ __all__ = [
     "point_mass",
     "shifted",
     "sample",
-    "rescale",
     "gamma_n",
     "TailEstimate",
     "clopper_pearson",

@@ -176,7 +176,7 @@ def _usable_cpus() -> int:
 
 def _worker_count(threads: int, blocks: int, cpus: int) -> int:
     """Threads worth starting: no more than the blocks to run or the CPUs to run them."""
-    return max(1, min(threads, blocks, cpus))
+    return min(threads, blocks, cpus)
 
 
 def _add(total, part) -> tuple:

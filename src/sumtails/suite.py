@@ -41,7 +41,7 @@ from .sources import (
     is_symmetric,
     tail_prob,
 )
-from .space import SpaceSpec, norms
+from .space import SpaceSpec, _summand_sums, norms
 from .transforms import gamma_n, rescale_factors
 
 __all__ = [
@@ -388,9 +388,9 @@ def _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads)
     def sides(rng, m):
         v = draw(d, rng, (m, n))
         nv = norms(v, space)
-        s_l = norms(v.sum(axis=1), space) / b_n
+        s_l = norms(_summand_sums(v), space) / b_n
         v *= rescale_factors(nv, fp)[..., None]  # now the rescaled T_i
-        s_r = norms(v.sum(axis=1), space) / a_n
+        s_r = norms(_summand_sums(v), space) / a_n
         return s_l, s_r, int((nv > b_n).sum())
 
     def tail(exceed):
@@ -459,7 +459,7 @@ def _prepare_levy(d, n, t_grid, R, key, b_n, mode, confidence, block_size, threa
         x = draw(d, rng, (m, n))
         x_prime = draw(d, rng, (m, n))
         diff = x - x_prime
-        return norms(diff, space).max(axis=1) / b_n, norms(diff.sum(axis=1), space) / b_n
+        return norms(diff, space).max(axis=1) / b_n, norms(_summand_sums(diff), space) / b_n
 
     return _compare(
         "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
@@ -635,7 +635,7 @@ def _prepare_wlln(
                 while need > 0:
                     c = min(chunk, need)
                     for running in sums:
-                        running += draw(d, rng, (m, c)).sum(axis=1)
+                        running += _summand_sums(draw(d, rng, (m, c)))
                     need -= c
                 yield norms(sums[0] - gamma, space) / b_n
                 if symmetrized:

@@ -479,7 +479,6 @@ def test_worker_count_is_bounded_by_blocks_and_cpus():
     assert _worker_count(16, 3, 8) == 3
     assert _worker_count(10**6, 5, 2) == 2
     assert _worker_count(4, 10, 1) == 1
-    assert _worker_count(0, 10, 8) == 1
 
 
 def test_mc_errors():

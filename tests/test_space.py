@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sumtails.errors import ConfigurationError, DomainError
-from sumtails.space import SpaceSpec, norm, norms, vsum
+from sumtails.space import SpaceSpec, _summand_sums, norm, norms, vsum
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -134,3 +134,34 @@ def test_norms_equal_the_reduce_on_nan_inf_and_signed_zero(dim, q, rows, data):
     with np.errstate(all="ignore"):
         for arr in (a, a[0]):
             assert np.array_equal(norms(arr, sp), _reduce_norms(arr, q), equal_nan=True)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# the benchmark's blocks, a long sum, and dim 1, where einsum and the pairwise reduce differ
+@pytest.mark.parametrize(
+    "shape", [(4096, 256, 3), (4096, 256, 2), (4000, 512, 2), (3, 20000, 2), (4096, 256, 1), (3, 20000, 1)]
+)
+def test_summand_sums_equal_the_reduce_on_cauchy_blocks(shape):
+    rng = np.random.default_rng(shape[1])
+    v = rng.standard_cauchy(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    _assert_same_bits(_summand_sums(v), v.sum(axis=1))
+
+
+@given(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+def test_summand_sums_equal_the_reduce(m, n, dim, data):
+    # dim 1 keeps numpy's pairwise reduce; from dim 2 on einsum must add the
+    # n terms in the reduce's left-to-right order, signed zeros and NaN included
+    v = np.array(data.draw(st.lists(ANY_FLOAT, min_size=m * n * dim, max_size=m * n * dim)))
+    v = v.reshape(m, n, dim)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_summand_sums(v), v.sum(axis=1))

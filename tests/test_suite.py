@@ -241,12 +241,18 @@ def test_thm11_ii_empirical_tail_term():
     assert 0.0 <= tt.p_hat < 0.01
 
 
+PARETO_IID_2 = pareto_symmetric(0.005, SpaceSpec(dim=2), lifting="iid_coordinates")
+
+
 def test_thm11_ii_refuses_nan_statistics():
     # about 3 % of pareto(0.005) draws overflow to +-inf, so some sums are
     # inf - inf = NaN; counted as non-events they made the t = 0 tails read
     # 0.968 and 0.6275 where both are 1
     with pytest.raises(DomainError, match=r"thm11_ii: \d+ of 4000 Monte Carlo statistics are NaN"):
         check_thm11_ii(pareto_symmetric(0.005), SQRT_PAIR, n=16, R=2000, key=KEY)
+    # from dim 2 on the summand sums take einsum, not the reduce
+    with pytest.raises(DomainError, match=r"thm11_ii: \d+ of 4000 Monte Carlo statistics are NaN"):
+        check_thm11_ii(PARETO_IID_2, SQRT_PAIR, n=16, R=2000, key=KEY)
 
 
 def test_wlln_refuses_nan_statistics():
@@ -256,6 +262,10 @@ def test_wlln_refuses_nan_statistics():
         run_wlln(pareto_symmetric(0.005), pair, **kw)
     with pytest.raises(DomainError, match=r"cross_check_symmetrization: \d+ of 2000 "):
         cross_check_symmetrization(pareto_symmetric(0.005), pair, criterion_R=1, **kw)
+    with pytest.raises(DomainError, match=r"run_wlln: \d+ of 1000 Monte Carlo statistics are NaN"):
+        run_wlln(PARETO_IID_2, pair, **kw)
+    with pytest.raises(DomainError, match=r"cross_check_symmetrization: \d+ of 2000 "):
+        cross_check_symmetrization(PARETO_IID_2, pair, criterion_R=1, **kw)
     # the symmetrized criterion sequence samples ||X - X'||, which overflows too
     with pytest.raises(DomainError, match=r"criterion sequence: \d+ of 1000 Monte Carlo"):
         cross_check_symmetrization(pareto_symmetric(0.005), pair, criterion_R=1000, **kw)
@@ -424,6 +434,12 @@ def test_levy_point_mass_degenerate():
         assert r.lhs.p_hat == 0.0 and r.rhs.p_hat == 0.0
         assert r.slack == 0.0
         assert r.verdict != "violated"
+
+
+def test_levy_mc_refuses_nan_statistics():
+    # inf - inf in X - X' is NaN on both sides, through the dim-2 summand sums
+    with pytest.raises(DomainError, match=r"levy: \d+ of 4000 Monte Carlo statistics are NaN"):
+        check_levy(PARETO_IID_2, 16, R=2000, key=KEY)
 
 
 def test_levy_validation():

@@ -72,6 +72,12 @@ MUTANTS = (
     ),
     Mutant("no_scalar_unwrap", "space.py", "return out[..., 0][()]", "return out[..., 0]"),
     Mutant(
+        "summand_sums_scalar_einsum",
+        "space.py",
+        "    if v.shape[-1] == 1:\n        return v.sum(axis=1)\n    return np.einsum",
+        "    return np.einsum",
+    ),
+    Mutant(
         "zero_success_mask", "estimator.py", "low = np.where(k == 0, 0.0,", "low = np.where(k < 0, 0.0,"
     ),
     Mutant("scalar_bounds_as_arrays", "estimator.py", "return float(low), float(high)", "return low, high"),
@@ -145,8 +151,8 @@ MUTANTS = (
     Mutant(
         "scaled_before_lhs",
         "suite.py",
-        "        s_l = norms(v.sum(axis=1), space) / b_n\n        v *= rescale_factors(nv, fp)[..., None]",
-        "        v *= rescale_factors(nv, fp)[..., None]\n        s_l = norms(v.sum(axis=1), space) / b_n",
+        "        s_l = norms(_summand_sums(v), space) / b_n\n        v *= rescale_factors(nv, fp)[..., None]",
+        "        v *= rescale_factors(nv, fp)[..., None]\n        s_l = norms(_summand_sums(v), space) / b_n",
     ),
     # the Monte Carlo gamma_n grid: bins, their accumulation and the NaN refusal
     Mutant(
