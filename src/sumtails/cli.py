@@ -109,10 +109,14 @@ def _get(cfg: dict, parent: str, key: str, kind, default=_REQUIRED):
 
 
 def _build(path: str, make, *args, **kwargs):
-    """make(*args, **kwargs) with its errors, which name no key path, prefixed by path."""
+    """make(*args, **kwargs) with its errors, which name no key path, prefixed by path.
+
+    A MemoryError, from a size in the config too large to allocate,
+    becomes such an error too.
+    """
     try:
         return make(*args, **kwargs)
-    except (ConfigurationError, DomainError) as e:
+    except (ConfigurationError, DomainError, MemoryError) as e:
         if not path:
             raise
         raise ConfigurationError(f"{path}: {e}") from None
@@ -186,7 +190,7 @@ def _grid_from(cfg: dict, parent: str, key: str, default=None):
     points = _get(gc, path, "points", int)
     if points < 1:
         raise ConfigurationError(f"{path}.points: must be >= 1")
-    return np.linspace(start, stop, points)
+    return _build(path, np.linspace, start, stop, points)
 
 
 def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radius_for, exact: bool):
@@ -216,7 +220,7 @@ def _vectors_from(cfg: dict, space: SpaceSpec, key: StreamKey, parent: str, radi
     scale = _get(rnd, f"{path}.random", "scale", float, 1.0)
     if not (0 < scale <= 1.0):
         raise ConfigurationError(f"{path}.random.scale: must lie in (0, 1]")
-    return uniform_in_ball(space, scale * radius, key.substream(STREAM_VECTORS), count)
+    return _build(path, uniform_in_ball, space, scale * radius, key.substream(STREAM_VECTORS), count)
 
 
 def _weights_from(cfg: dict, n: int, key: StreamKey, parent: str) -> np.ndarray:
@@ -570,7 +574,7 @@ def main(argv=None) -> int:
                     f" {args.command!r}, got {cfg['experiment']!r}"
                 )
         return run(cfg, **flags)
-    except (ConfigurationError, DomainError) as e:
+    except (ConfigurationError, DomainError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

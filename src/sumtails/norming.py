@@ -189,20 +189,6 @@ class FunctionPair:
         """phi's slope over psi's past the last knot, the limit of phi(psi_inverse(s)) / s."""
         return float(self._maps["phi"].slopes[-1] / self._maps["psi"].slopes[-1])
 
-    def ratio(self, t):
-        """psi(t) / phi(t), with the limit value b_1 / a_1 at t = 0."""
-        tv = np.asarray(t, dtype=float)
-        if np.any(tv < 0):
-            raise DomainError("ratio is defined on [0, inf)")
-        limit = self.b_grid[1] / self.a_grid[1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(
-                tv == 0.0,
-                limit,
-                self._eval(tv, "psi") / self._eval(tv, "phi"),
-            )
-        return float(out) if np.isscalar(t) else out
-
 
 def build_function_pair(pair: NormingPair) -> FunctionPair:
     return FunctionPair(pair)

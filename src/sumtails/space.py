@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-__all__ = ["SpaceSpec", "norm", "norms", "vsum"]
+__all__ = ["SpaceSpec", "norm", "norms"]
 
 # numpy's sum adds this many terms or more pairwise, not left to right
 _PAIRWISE_TERMS = 8
@@ -125,18 +125,3 @@ def _summand_sums(v: np.ndarray) -> np.ndarray:
         return v.sum(axis=1)
     return np.einsum("mnd->md", v)
 
-
-def vsum(vectors, space: SpaceSpec) -> np.ndarray:
-    """Sum of a finite list of vectors; the empty sum is the zero vector.
-
-    Coordinates are accumulated with math.fsum so the result does not
-    depend on chunking or summation order.
-    """
-    out = np.zeros(space.dim)
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    for v in vs:
-        if v.shape != (space.dim,):
-            raise DomainError(f"summand of shape {v.shape} in space of dim {space.dim}")
-    for j in range(space.dim):
-        out[j] = math.fsum(float(v[j]) for v in vs)
-    return out

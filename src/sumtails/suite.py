@@ -306,10 +306,11 @@ def check_thm11_i(
     block_size: int = DEFAULT_BLOCK_SIZE,
     threads: int = 1,
 ) -> list[InequalityReport]:
-    """P(||sum R_i x_i|| > t b_n) <= 2 P(||sum R_i rescale(x_i)|| > t a_n).
+    """P(||sum R_i x_i|| > t b_n) <= 2 P(||sum R_i T(x_i)|| > t a_n).
 
     The x_i are fixed vectors with ||x_i|| <= b_n for n = len(x); the
-    hypothesis is checked and its violation rejected.  Exact mode
+    hypothesis is checked and its violation rejected.  T(x_i) is x_i
+    scaled to norm phi(psi_inverse(||x_i||)), with T(0) = 0.  Exact mode
     enumerates all 2^n sign patterns for both sides at once.
     """
     return _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads)()

@@ -1,21 +1,17 @@
 """Deterministic sample-path operators.
 
-The rescaling transform v -> phi(psi_inverse(||v||)) v/||v|| converts
-events on the b_n scale into events on the a_n scale; truncation,
-the desymmetrization split, and the truncated-mean centering gamma_n
-supply the remaining path ingredients of the tail comparisons.
+The rescale multipliers phi(psi_inverse(s))/s turn a vector of norm s
+on the b_n scale into one of norm phi(psi_inverse(s)) on the a_n scale,
+and the truncated-mean centering gamma_n centers the weak-law sums.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, _refuse_nan
+from .errors import ConfigurationError, _refuse_nan
 from .norming import FunctionPair
-from .space import SpaceSpec, norm, norms
+from .space import norms
 from .sources import (
     STREAM_GAMMA,
     DistributionSpec,
@@ -25,66 +21,7 @@ from .sources import (
     truncated_mean,
 )
 
-__all__ = [
-    "TransformContext",
-    "rescale",
-    "rescale_factors",
-    "truncate",
-    "event_identity_holds",
-    "event_identity_all",
-    "desymmetrize_split",
-    "gamma_n",
-    "BOUNDARY_RTOL",
-]
-
-# relative tolerance of the shared boundary decision in the event identity
-BOUNDARY_RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TransformContext:
-    """Binds the function pair, the space, and the current index n.
-
-    n selects a_n = phi(n) and b_n = psi(n); it must not exceed the
-    length of the underlying norming pair.
-    """
-
-    function_pair: FunctionPair
-    space: SpaceSpec
-    n: int
-
-    def __post_init__(self):
-        self.function_pair.pair.at(self.n)
-
-    @property
-    def a_n(self) -> float:
-        return self.function_pair.pair.at(self.n)[0]
-
-    @property
-    def b_n(self) -> float:
-        return self.function_pair.pair.at(self.n)[1]
-
-
-def rescale(v, ctx: TransformContext) -> np.ndarray:
-    """phi(psi_inverse(||v||)) * v / ||v||, with 0 mapped to 0.
-
-    Defined for ||v|| <= psi(N); larger norms are a domain error here
-    (truncate first, or enlarge the norming pair).  The output keeps
-    the direction of v, and ||v|| = b_k lands on output norm a_k.
-    """
-    fp = ctx.function_pair
-    a = np.asarray(v, dtype=float)
-    nv = norm(a, ctx.space)
-    if nv == 0.0:
-        return np.zeros(ctx.space.dim)
-    b_top = float(fp.b_grid[-1])
-    if nv > b_top:
-        raise DomainError(f"||v|| = {nv} exceeds psi(N) = {b_top}")
-    out_norm = fp.phi(fp.psi_inverse(nv))
-    if ctx.space.dim == 1:
-        return np.array([math.copysign(out_norm, a[0])])
-    return a * (out_norm / nv)
-
+__all__ = ["rescale_factors", "gamma_n"]
 
 # elements per rescale_factors slice: a slice's temporaries stay in cache
 _RESCALE_SLICE = 1 << 14
@@ -114,68 +51,6 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
             np.divide(out_norm, part, out=into, where=positive)
         into[part == np.inf] = fp.slope_ratio
     return out.reshape(s.shape)
-
-
-def _default_space(v: np.ndarray, space: SpaceSpec | None) -> SpaceSpec:
-    return space if space is not None else SpaceSpec(dim=v.shape[-1])
-
-
-def truncate(v, threshold: float, space: SpaceSpec | None = None) -> np.ndarray:
-    """v when ||v|| <= threshold (closed inequality), else the zero vector."""
-    if threshold < 0:
-        raise DomainError(f"threshold must be >= 0, got {threshold}")
-    a = np.asarray(v, dtype=float)
-    sp = _default_space(a, space)
-    return a if norm(a, sp) <= threshold else np.zeros(sp.dim)
-
-
-def event_identity_holds(v, ctx: TransformContext) -> bool:
-    """Whether 1{||v|| <= b_n} equals 1{||rescale(v)|| <= a_n}.
-
-    Exact arithmetic makes the two indicators identical.  In floats a
-    norm within BOUNDARY_RTOL (relative) of the boundary gets one
-    shared decision, <=, applied to both sides at once, so rounding at
-    the boundary can never split the indicators.
-    """
-    a = np.asarray(v, dtype=float)
-    nv = norm(a, ctx.space)
-    b_n, a_n = ctx.b_n, ctx.a_n
-    t = rescale(a, ctx)
-    nt = norm(t, ctx.space)
-    near = abs(nv - b_n) <= BOUNDARY_RTOL * b_n or abs(nt - a_n) <= BOUNDARY_RTOL * a_n
-    if near:
-        return True
-    return (nv <= b_n) == (nt <= a_n)
-
-
-def event_identity_all(arr: np.ndarray, ctx: TransformContext) -> np.ndarray:
-    """Vectorized event_identity_holds over the leading axes of arr."""
-    nv = norms(arr, ctx.space)
-    fp = ctx.function_pair
-    nt = nv * rescale_factors(nv, fp)
-    b_n, a_n = ctx.b_n, ctx.a_n
-    near = (np.abs(nv - b_n) <= BOUNDARY_RTOL * b_n) | (np.abs(nt - a_n) <= BOUNDARY_RTOL * a_n)
-    return near | ((nv <= b_n) == (nt <= a_n))
-
-
-def desymmetrize_split(t_list, threshold: float, space: SpaceSpec | None = None):
-    """The sum and the flipped sum whose average is the truncated sum.
-
-    Returns (total, flipped) with total = sum of T_i and
-    flipped = sum of (T_i 1{||T_i|| <= threshold} - T_i 1{||T_i|| > threshold});
-    then (total + flipped)/2 equals sum of truncate(T_i, threshold).
-    Coordinates accumulate through math.fsum, so the identity holds to
-    roundoff of the final halving.
-    """
-    arr = np.asarray(t_list, dtype=float)
-    if arr.ndim != 2:
-        raise DomainError(f"expected a list of vectors, got shape {arr.shape}")
-    sp = _default_space(arr, space)
-    nv = norms(arr, sp)
-    signs = np.where(nv <= threshold, 1.0, -1.0)
-    total = np.array([math.fsum(arr[:, j]) for j in range(sp.dim)])
-    flipped = np.array([math.fsum(signs * arr[:, j]) for j in range(sp.dim)])
-    return total, flipped
 
 
 def _gamma_mode(d: DistributionSpec, mode: str) -> str:

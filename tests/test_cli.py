@@ -632,6 +632,32 @@ def test_integer_past_float64_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config is not valid JSON: Exceeds the limit")
 
 
+_HUGE = 10**15  # elements: numpy refuses this many at once and allocates nothing
+
+
+@pytest.mark.parametrize(
+    "command, cfg, path",
+    [
+        ("validate", dict(KEY_PATH_SWEEP["configs"][1], t_grid={"stop": 3, "points": _HUGE}), "t_grid"),
+        ("validate", dict(WLLN_CFG, lambda_grid={"stop": 1, "points": _HUGE}), "lambda_grid"),
+        ("validate", dict(CONSTRUCT_CFG, norming=dict(CONSTRUCT_CFG["norming"], n_max=_HUGE)), "norming"),
+        (
+            "validate",
+            dict(KEY_PATH_SWEEP["configs"][1], mode="mc", R=200, vectors={"random": {"count": _HUGE}}),
+            "vectors",
+        ),
+        # allocated only once the pass runs, in a single config, whose errors name no key path
+        ("run", dict(KEY_PATH_SWEEP["configs"][2], R=_HUGE, block_size=_HUGE), ""),
+    ],
+)
+def test_size_too_large_to_allocate_is_rejected(tmp_path, capsys, command, cfg, path):
+    # numpy's MemoryError used to end in a traceback and exit 1, "violated"
+    p = _write_json(tmp_path / "big.json", dict(cfg, schema_version=1, seed=7))
+    assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    prefix = f"{path}: " if path else ""
+    assert capsys.readouterr().err.startswith(f"error: {prefix}Unable to allocate")
+
+
 def test_seed_outside_64_bits_is_rejected(tmp_path, capsys):
     # seed % 2**64 used to run seed 2**64 as seed 0 and seed -1 as 2**64 - 1
     for seed in (-1, 2**64):

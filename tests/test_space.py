@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sumtails.errors import ConfigurationError, DomainError
-from sumtails.space import SpaceSpec, _summand_sums, norm, norms, vsum
+from sumtails.space import SpaceSpec, _summand_sums, norm, norms
 
 FINITE = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -53,33 +53,13 @@ def test_norm_shape_errors():
         norms(np.zeros((4, 2)), sp)
 
 
-def test_add_scale_vsum():
-    sp = SpaceSpec(dim=2)
-    # the sum of two vectors is their componentwise sum, and of three
-    # copies of one vector its multiple by 3
-    assert vsum([[1.0, 2.0], [3.0, -1.0]], sp).tolist() == [4.0, 1.0]
-    assert vsum([[1.0, -3.0]] * 3, sp).tolist() == [3.0, -9.0]
-    assert vsum([[1.0, 0.0], [0.5, 2.0]], sp).tolist() == [1.5, 2.0]
-    assert vsum([], sp).tolist() == [0.0, 0.0]
-    with pytest.raises(DomainError):
-        vsum([[1.0, 2.0, 3.0]], sp)
-
-
-def test_vsum_order_independent():
-    # fsum accumulation: permuting the summands changes nothing
-    sp = SpaceSpec(dim=1)
-    vals = [[1e16], [1.0], [-1e16], [1.0]]
-    assert vsum(vals, sp)[0] == 2.0
-    assert vsum(vals[::-1], sp)[0] == 2.0
-
-
 @given(
     st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=6),
     st.sampled_from([1.0, 2.0, math.inf]),
 )
 def test_triangle_inequality(pairs, q):
     sp = SpaceSpec(dim=2, q=q)
-    total = vsum([list(p) for p in pairs], sp)
+    total = np.sum(pairs, axis=0)
     assert norm(total, sp) <= sum(norm(list(p), sp) for p in pairs) + 1e-6
 
 

@@ -173,6 +173,33 @@ def test_thm11_i_mc_matches_exact():
         assert m.verdict != "violated"
 
 
+def _thm11_i_rows(x, fp, space, mode):
+    reports = check_thm11_i(x, fp, space, mode=mode, R=2000, key=KEY)
+    return [(r.t, r.lhs.successes, r.rhs.successes, r.verdict) for r in reports]
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=11),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([1.0, 2.0, math.inf]),
+)
+def test_thm11_i_rows_keep_under_negation_and_power_of_two_scaling(seed, n, dim, q):
+    # x -> -x and (x, b) -> (4x, 4b) are exact in floating point, so every
+    # count and verdict must stay, in both modes, with no tolerance
+    rng = np.random.default_rng(seed)
+    space = SpaceSpec(dim, q)
+    a = np.cumsum(rng.uniform(0.1, 1.0, 16))
+    b = a * (np.cumsum(rng.uniform(0.0, 0.3, 16)) + rng.uniform(0.5, 1.5))
+    x = rng.uniform(-1.0, 1.0, (n, dim)) * (b[n - 1] / dim)
+    pair, pair4 = (build_function_pair(NormingPair(a=a, b=c * b)) for c in (1.0, 4.0))
+    for mode in ("exact", "mc"):
+        rows = _thm11_i_rows(x, pair, space, mode)
+        assert _thm11_i_rows(-x, pair, space, mode) == rows
+        assert _thm11_i_rows(4.0 * x, pair4, space, mode) == rows
+
+
 # -------------------------------------------------------------- contraction
 
 

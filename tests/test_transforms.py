@@ -15,69 +15,52 @@ from sumtails.sources import (
     pareto_one_sided,
     point_mass,
     rademacher,
-    sample,
     shifted,
     stable_symmetric,
     truncated_mean,
     uniform_ball,
 )
 from sumtails.space import SpaceSpec, norm, norms
-from sumtails.transforms import (
-    TransformContext,
-    desymmetrize_split,
-    event_identity_all,
-    event_identity_holds,
-    gamma_n,
-    rescale,
-    rescale_factors,
-    truncate,
-)
+from sumtails.transforms import gamma_n, rescale_factors
 
 KEY = StreamKey(555)
 
 SQRT_PAIR = build_function_pair(power_pair(16, 0.5, 1.0))
 
 
-def ctx(n=4, dim=1, q=2.0, fp=SQRT_PAIR):
-    return TransformContext(function_pair=fp, space=SpaceSpec(dim, q), n=n)
+def event_identity(arr, fp, space, n):
+    """Whether 1{||v|| <= b_n} equals 1{||T(v)|| <= a_n} for each vector v of arr.
 
-
-def test_context_validation():
-    with pytest.raises(ConfigurationError):
-        ctx(n=0)
-    with pytest.raises(ConfigurationError):
-        ctx(n=17)
-    c = ctx(n=4)
-    assert c.a_n == 2.0 and c.b_n == 4.0
+    Exact arithmetic makes the two indicators identical.  In floats a
+    norm within 1e-9 (relative) of its boundary gets one shared
+    decision, <=, on both sides at once, so rounding at the boundary
+    can never split the indicators.
+    """
+    a_n, b_n = fp.pair.at(n)
+    nv = norms(arr, space)
+    nt = nv * rescale_factors(nv, fp)
+    near = (np.abs(nv - b_n) <= 1e-9 * b_n) | (np.abs(nt - a_n) <= 1e-9 * a_n)
+    return near | ((nv <= b_n) == (nt <= a_n))
 
 
 def test_rescale_hand_example():
     # b_k = k and a_k = sqrt(k): a vector of norm 4 lands on norm 2
-    assert rescale([4.0], ctx()).tolist() == [2.0]
-    assert rescale([-4.0], ctx()).tolist() == [-2.0]
-    assert rescale([0.0], ctx()).tolist() == [0.0]
+    v = np.array([[4.0], [-4.0], [0.0]])
+    assert (v * rescale_factors(norms(v, SpaceSpec(1)), SQRT_PAIR)[:, None]).tolist() == [[2.0], [-2.0], [0.0]]
 
 
 def test_rescale_knots_exact_dim1():
-    for k in range(1, 17):
-        out = rescale([float(k)], ctx())
-        assert out[0] == SQRT_PAIR.pair.a[k - 1]
+    # phi(psi_inverse(b_k)) is a_k exactly, so the multiplier is the rounded a_k / b_k
+    b = SQRT_PAIR.pair.b
+    assert np.array_equal(rescale_factors(norms(b[:, None], SpaceSpec(1)), SQRT_PAIR), SQRT_PAIR.pair.a / b)
 
 
 def test_rescale_direction_preserved():
     space = SpaceSpec(3, 2)
-    c = TransformContext(function_pair=SQRT_PAIR, space=space, n=4)
     v = np.array([3.0, 0.0, 4.0])  # norm 5
-    out = rescale(v, c)
+    out = v * rescale_factors(norms(v, space), SQRT_PAIR)
     assert norm(out, space) == pytest.approx(SQRT_PAIR.phi(5.0), rel=1e-12)
     assert out / norm(out, space) == pytest.approx(v / 5.0, rel=1e-12)
-
-
-def test_rescale_domain_error():
-    with pytest.raises(DomainError, match="exceeds"):
-        rescale([16.5], ctx())
-    # the boundary itself is inside the domain
-    assert rescale([16.0], ctx())[0] == 4.0
 
 
 def test_rescale_factors_basics():
@@ -107,13 +90,14 @@ def test_rescale_factors_at_infinity_take_the_limit():
 
 
 def test_rescale_batch_matches_scalar():
-    space = SpaceSpec(2, 1)
-    c = TransformContext(function_pair=SQRT_PAIR, space=space, n=3)
+    # on (0, b_N] the segment maps are np.interp's arithmetic, so the batched
+    # multipliers equal np.interp's maps composed point by point, bit for bit
     rng = np.random.default_rng(0)
-    arr = rng.uniform(-3.0, 3.0, (40, 2))
-    out = arr * rescale_factors(norms(arr, space), SQRT_PAIR)[:, None]
-    for i in range(40):
-        assert out[i] == pytest.approx(rescale(arr[i], c), rel=1e-13, abs=1e-13)
+    a = np.cumsum(rng.uniform(0.1, 1.0, 32))
+    fp = build_function_pair(NormingPair(a=a, b=a * (np.cumsum(rng.uniform(0.0, 0.3, 32)) + 1.0)))
+    s = np.concatenate((rng.uniform(0.0, fp.b_grid[-1], 4000), fp.b_grid[1:], [5e-324]))
+    oracle = np.interp(np.interp(s, fp.b_grid, fp.knots), fp.knots, fp.a_grid) / s
+    assert np.array_equal(rescale_factors(s, fp), oracle)
 
 
 def test_rescale_norm_monotone():
@@ -122,66 +106,17 @@ def test_rescale_norm_monotone():
     assert np.all(np.diff(out) >= -1e-12)
 
 
-def test_truncate():
-    assert truncate([3.0, 4.0], 5.0).tolist() == [3.0, 4.0]
-    assert truncate([3.0, 4.0], 4.999).tolist() == [0.0, 0.0]
-    assert truncate([2.0], 2.0).tolist() == [2.0]
-    assert truncate([-3.0], 2.0, SpaceSpec(1, 2)).tolist() == [0.0]
-    with pytest.raises(DomainError):
-        truncate([1.0], -0.1)
-
-
 def test_event_identity_interior():
-    c = ctx(n=4)
-    assert event_identity_holds([3.5], c)
-    assert event_identity_holds([4.5], c)
-    assert event_identity_holds([0.0], c)
+    for s in (3.5, 4.5, 0.0):
+        assert event_identity(np.array([[s]]), SQRT_PAIR, SpaceSpec(1), 4).all()
 
 
 def test_event_identity_near_boundary():
     # norms straddling b_n by tiny margins never split the indicators
-    c = ctx(n=4)
-    b_n = c.b_n
+    b_n = SQRT_PAIR.pair.at(4)[1]
     for eps in (0.0, 1e-15, 1e-12, 1e-10, 1e-8, 1e-4):
         for s in (b_n * (1 + eps), b_n * (1 - eps)):
-            assert event_identity_holds([s], c), (s, eps)
-
-
-def test_event_identity_all_matches_scalar():
-    space = SpaceSpec(2, 2)
-    c = TransformContext(function_pair=SQRT_PAIR, space=space, n=5)
-    rng = np.random.default_rng(3)
-    arr = rng.uniform(-4.0, 4.0, (200, 2))
-    flags = event_identity_all(arr, c)
-    assert flags.shape == (200,)
-    for i in range(200):
-        assert flags[i] == event_identity_holds(arr[i], c)
-    assert np.all(flags)
-
-
-def test_desymmetrize_hand_example():
-    vecs = [[3.0], [0.5], [-2.0], [0.25]]
-    total, flipped = desymmetrize_split(vecs, 1.0)
-    assert total.tolist() == [1.75]
-    assert flipped.tolist() == [-0.25]
-    assert ((total + flipped) / 2).tolist() == [0.75]
-
-
-def test_desymmetrize_identity_against_direct_sum():
-    space = SpaceSpec(3, 1)
-    rng = np.random.default_rng(11)
-    arr = rng.uniform(-2.0, 2.0, (500, 3))
-    thr = 1.5
-    total, flipped = desymmetrize_split(arr, thr, space)
-    direct = np.zeros(3)
-    for row in arr:
-        direct = direct + truncate(row, thr, space)
-    assert (total + flipped) / 2 == pytest.approx(direct, abs=1e-12)
-
-
-def test_desymmetrize_shape_error():
-    with pytest.raises(DomainError):
-        desymmetrize_split([1.0, 2.0], 1.0)
+            assert event_identity(np.array([[s]]), SQRT_PAIR, SpaceSpec(1), 4).all(), (s, eps)
 
 
 def test_gamma_symmetric_is_zero():
@@ -330,6 +265,5 @@ def test_event_identity_random_batches(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 17))
     space = SpaceSpec(int(rng.integers(1, 4)), float(rng.choice([1.0, 2.0])))
-    c = TransformContext(function_pair=SQRT_PAIR, space=space, n=n)
     arr = rng.standard_cauchy((256, space.dim)) * rng.uniform(0.1, 4.0)
-    assert np.all(event_identity_all(arr, c))
+    assert np.all(event_identity(arr, SQRT_PAIR, space, n))

@@ -231,6 +231,18 @@ MUTANTS = (
     Mutant("index_from_zero", "norming.py", "if not 1 <= n <= len(self):", "if not n <= len(self):"),
     Mutant("stream_rule_r_floor", "sources.py", "if R is None or R < 100:", "if R is None or R < 10:"),
     Mutant(
+        "memory_error_unprefixed",
+        "cli.py",
+        "        return make(*args, **kwargs)\n    except (ConfigurationError, DomainError, MemoryError) as e:",
+        "        return make(*args, **kwargs)\n    except (ConfigurationError, DomainError) as e:",
+    ),
+    Mutant(
+        "memory_error_traceback",
+        "cli.py",
+        "        return run(cfg, **flags)\n    except (ConfigurationError, DomainError, MemoryError) as e:",
+        "        return run(cfg, **flags)\n    except (ConfigurationError, DomainError) as e:",
+    ),
+    Mutant(
         "huge_integer_overflows",
         "cli.py",
         "    except OverflowError:  # a JSON integer past the float64 range",
