@@ -1,11 +1,12 @@
 """Tail-probability estimation.
 
-Two regimes: exhaustive enumeration over all 2^n Rademacher sign
-patterns (n <= 20), and blocked Monte Carlo with exact Clopper-Pearson
-binomial intervals.  Each block of replications owns a counter-based
-stream and workers add block results into running totals, so memory
-does not grow with the block count and the integer totals do not
-depend on the worker count.
+Two regimes: exhaustive enumeration over the Rademacher sign patterns
+(n <= 20), the 2^(n-1) with eps_n = +1 standing for all 2^n because
+flipping every sign leaves a norm unchanged, and blocked Monte Carlo
+with exact Clopper-Pearson binomial intervals.  Each block of
+replications owns a counter-based stream and workers add block results
+into running totals, so memory does not grow with the block count and
+the integer totals do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -136,7 +137,9 @@ def _estimates(counts, reps: int, confidence: float, exact: bool = False) -> lis
 
 
 def _require_enumerable(n: int) -> None:
-    """Exact mode enumerates the 2^n sign patterns of n summands, n <= ENUMERATION_MAX_N."""
+    """Exact mode enumerates the sign patterns of n summands, 1 <= n <= ENUMERATION_MAX_N."""
+    if n < 1:
+        raise ConfigurationError(f"n = {n}: exact mode enumerates the signs of at least one summand")
     if n > ENUMERATION_MAX_N:
         raise ConfigurationError(
             f"n = {n} exceeds the 2^{ENUMERATION_MAX_N} enumeration budget; use Monte Carlo"
@@ -144,27 +147,32 @@ def _require_enumerable(n: int) -> None:
 
 
 def enumerate_sign_norms(x, space: SpaceSpec) -> np.ndarray:
-    """l_q norms of sum_i eps_i x_i over all 2^n sign patterns.
+    """l_q norms of sum_i eps_i x_i over the 2^(n-1) sign patterns with eps_n = +1.
 
-    Pattern k assigns eps_i = +1 when bit i of k is set.  One (2^n, dim)
-    buffer fills by doubling: the sums over the bits below i give those
-    with bit i set by adding x_i and those with it clear by subtracting
-    x_i, about 2^(n+1) * dim additions in all.  Each sum adds its terms
-    in the order of i, and s - x == s + (-1 * x) exactly, so the norms
-    are bit-identical to adding eps_i * x_i term by term.  Weights go
-    into x (w_i x_i).  n is capped at ENUMERATION_MAX_N.
+    Flipping every sign negates each rounded sum exactly, so the other
+    2^(n-1) patterns repeat these norms: a count over all 2^n patterns
+    is twice the count over these.  Pattern k sets eps_i = +1 (i < n - 1,
+    from 0) when bit i of k is set.  A (dim, 2^(n-1)) buffer fills by
+    doubling along its contiguous rows: adding x_i to the sums over the
+    bits below i gives those with bit i set, subtracting it those with
+    it clear; x_n comes last, about 2^n * dim additions in all.  norms
+    takes the transposed view, whose layout does not change its bits, so
+    the norms are bit-identical to adding eps_i * x_i term by term.
+    Weights go into x (w_i x_i); 1 <= n <= ENUMERATION_MAX_N.
     """
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
     if xa.shape[1] != space.dim:
         raise ConfigurationError(f"vectors have dim {xa.shape[1]}, space has dim {space.dim}")
     _require_enumerable(n)
-    sums = np.zeros((1 << n, space.dim))
-    for i in range(n):
+    cols = xa[:, :, None]  # x_i as a (dim, 1) column, one term per coordinate row
+    sums = np.zeros((space.dim, 1 << (n - 1)))
+    for i in range(n - 1):
         h = 1 << i
-        np.add(sums[:h], xa[i], out=sums[h : 2 * h])
-        np.subtract(sums[:h], xa[i], out=sums[:h])
-    return norms(sums, space)
+        np.add(sums[:, :h], cols[i], out=sums[:, h : 2 * h])
+        np.subtract(sums[:, :h], cols[i], out=sums[:, :h])
+    sums += cols[n - 1]
+    return norms(sums.T, space)
 
 
 def _usable_cpus() -> int:

@@ -279,7 +279,13 @@ def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.nd
         u *= 2.0
         u -= upper
         x = _pareto_tail(d.alpha, u)
-        return np.negative(x, out=x, where=~upper)
+        # upper's bytes as int8 turned from {0, 1} into {-1, +1} in place:
+        # numpy's masked negative runs several times slower
+        sign = upper.view(np.int8)
+        sign *= 2
+        sign -= 1
+        x *= sign
+        return x
     if k == "stable_symmetric":
         return _stable_draws(d.alpha, rng, shape)
     if k == "uniform_ball":

@@ -79,7 +79,9 @@ def norms(arr, space: SpaceSpec) -> np.ndarray:
     the short last axis, which is several times slower.  Below
     _PAIRWISE_TERMS columns that reduce adds in the same j order, so the
     norms are bit-identical to it; from there on numpy sums pairwise,
-    and q = 1 and 2 keep the reduce.
+    and q = 1 and 2 keep the reduce.  The reduce reads C-ordered rows
+    whatever the layout of arr (numpy adds a transposed view in another
+    order), so no norm depends on the layout of arr.
     """
     a = np.asarray(arr, dtype=float)
     _check_dim(a, space, "last axis")
@@ -91,11 +93,11 @@ def norms(arr, space: SpaceSpec) -> np.ndarray:
     elif q in (1.0, 2.0) and dim < _PAIRWISE_TERMS:
         step = np.add
     elif q == 1.0:
-        return np.sum(np.abs(a), axis=-1)
+        return np.sum(np.abs(a, order="C"), axis=-1)
     elif q == 2.0:
-        return np.sqrt(np.sum(a * a, axis=-1))
+        return np.sqrt(np.sum(np.multiply(a, a, order="C"), axis=-1))
     else:
-        return np.sum(np.abs(a) ** q, axis=-1) ** (1.0 / q)
+        return np.sum(np.abs(a, order="C") ** q, axis=-1) ** (1.0 / q)
 
     def column(j):
         # a slice, not a[..., j], so a single vector gives an array out= can write

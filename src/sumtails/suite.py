@@ -254,17 +254,21 @@ def _signed_comparison(
 ):
     """The pass of P(||sum R_i u_i|| > t u_scale) <= 2 P(||sum R_i v_i|| > t v_scale), R_i random signs.
 
-    Exact mode enumerates the 2^n sign patterns of both sides; Monte
-    Carlo draws them, one pattern serving both sides.
+    Exact mode enumerates the sign patterns of both sides, the half with
+    eps_n = +1 counted twice; Monte Carlo draws them, one pattern
+    serving both sides.
     """
     n = u.shape[0]
     if mode == "exact":
         _require_enumerable(n)
 
+    def doubled(x, thresholds):
+        # the patterns with eps_n = -1 repeat these norms, NaN included
+        counts, nan = _counts_per_threshold(enumerate_sign_norms(x, space), thresholds)
+        return 2 * counts, 2 * nan
+
     def exact():
-        lhs = _counts_per_threshold(enumerate_sign_norms(u, space), tg * u_scale)
-        rhs = _counts_per_threshold(enumerate_sign_norms(v, space), tg * v_scale)
-        return lhs, rhs, 1 << n
+        return doubled(u, tg * u_scale), doubled(v, tg * v_scale), 1 << n
 
     def sides(rng, m):
         signs = _random_signs(rng, (m, n))
@@ -311,7 +315,7 @@ def check_thm11_i(
     The x_i are fixed vectors with ||x_i|| <= b_n for n = len(x); the
     hypothesis is checked and its violation rejected.  T(x_i) is x_i
     scaled to norm phi(psi_inverse(||x_i||)), with T(0) = 0.  Exact mode
-    enumerates all 2^n sign patterns for both sides at once.
+    counts all 2^n sign patterns for both sides.
     """
     return _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads)()
 

@@ -58,23 +58,37 @@ def _random_space(rng: np.random.Generator) -> SpaceSpec:
     return SpaceSpec(int(rng.integers(1, 5)), float(rng.choice([1.0, 2.0, np.inf])))
 
 
-def test_criterion_01_exact_sign_comparison():
-    # 50 random configs, full enumeration of both sides on 50-point
-    # t grids: the factor-2 comparison holds at every point
-    started = time.perf_counter()
+def criterion_01_configs():
+    """(x, fp, space) of the 50 random check_thm11_i configs, n from 1 to 12."""
     rng = np.random.default_rng(101)
-    checked = 0
     for i in range(50):
         n = int(rng.integers(1, 13))
         space = _random_space(rng)
         pair = _random_pair(rng, n + int(rng.integers(0, 5)))
-        fp = build_function_pair(pair)
-        b_n = float(pair.b[n - 1])
-        x = uniform_in_ball(space, b_n, MASTER.replication(i + 1), n)
+        x = uniform_in_ball(space, float(pair.b[n - 1]), MASTER.replication(i + 1), n)
+        yield x, build_function_pair(pair), space
+
+
+def criterion_02_configs():
+    """(x, w, space) of the 50 random check_contraction configs, n from 1 to 12."""
+    rng = np.random.default_rng(202)
+    for i in range(50):
+        n = int(rng.integers(1, 13))
+        space = _random_space(rng)
+        x = uniform_in_ball(space, float(rng.uniform(0.5, 3.0)), MASTER.replication(100 + i), n)
+        yield x, rng.uniform(-1.0, 1.0, n), space
+
+
+def test_criterion_01_exact_sign_comparison():
+    # 50 random configs, full enumeration of both sides on 50-point
+    # t grids: the factor-2 comparison holds at every point
+    started = time.perf_counter()
+    checked = 0
+    for x, fp, space in criterion_01_configs():
         reports = check_thm11_i(x, fp, space)
         assert len(reports) == 50
         for r in reports:
-            assert r.verdict == "holds", (i, r.t, r.lhs.p_hat, r.rhs_bound)
+            assert r.verdict == "holds", (r.config, r.t, r.lhs.p_hat, r.rhs_bound)
             checked += 1
     elapsed = time.perf_counter() - started
     ok = checked == 2500 and elapsed < 60.0
@@ -85,17 +99,12 @@ def test_criterion_01_exact_sign_comparison():
 def test_criterion_02_exact_contraction():
     # same sweep shape with random coefficients in [-1, 1]
     started = time.perf_counter()
-    rng = np.random.default_rng(202)
     checked = 0
-    for i in range(50):
-        n = int(rng.integers(1, 13))
-        space = _random_space(rng)
-        x = uniform_in_ball(space, float(rng.uniform(0.5, 3.0)), MASTER.replication(100 + i), n)
-        w = rng.uniform(-1.0, 1.0, n)
+    for x, w, space in criterion_02_configs():
         reports = check_contraction(x, w, space)
         assert len(reports) == 50
         for r in reports:
-            assert r.verdict == "holds", (i, r.t, r.lhs.p_hat, r.rhs_bound)
+            assert r.verdict == "holds", (r.config, r.t, r.lhs.p_hat, r.rhs_bound)
             checked += 1
     elapsed = time.perf_counter() - started
     ok = checked == 2500 and elapsed < 60.0

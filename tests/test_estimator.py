@@ -275,20 +275,23 @@ def test_tail_estimate_invariants():
 
 
 def test_enumeration_tiny_cases():
+    # the patterns with eps_n = +1, eps_1 = -1 first
     sp = SpaceSpec(1, 2)
-    nv = enumerate_sign_norms([[1.0]], sp)
-    assert nv.tolist() == [1.0, 1.0]
-    nv = enumerate_sign_norms([[1.0], [1.0]], sp)
-    assert sorted(nv.tolist()) == [0.0, 0.0, 2.0, 2.0]
-    # weights (1, 2) times x = (1, 1): |eps_1 + 2 eps_2| over four patterns
-    nv = enumerate_sign_norms([[1.0], [2.0]], sp)
-    assert sorted(nv.tolist()) == [1.0, 1.0, 3.0, 3.0]
+    assert enumerate_sign_norms([[1.0]], sp).tolist() == [1.0]
+    assert enumerate_sign_norms([[-3.0]], sp).tolist() == [3.0]
+    assert enumerate_sign_norms([[1.0], [1.0]], sp).tolist() == [0.0, 2.0]
+    # weights (1, 2) times x = (1, 1): |eps_1 + 2|
+    assert enumerate_sign_norms([[1.0], [2.0]], sp).tolist() == [1.0, 3.0]
+    # eps_1 + eps_2 + 4 in the bit order of (eps_1, eps_2)
+    assert enumerate_sign_norms([[1.0], [1.0], [4.0]], sp).tolist() == [2.0, 4.0, 4.0, 6.0]
+    nv = enumerate_sign_norms([[3.0, 0.0], [0.0, 4.0]], SpaceSpec(2, 2))
+    assert nv.tolist() == [5.0, 5.0]
 
 
 def test_exact_tail_values():
-    # |eps_1 + eps_2| is 0, 0, 2, 2; a norm equal to t does not exceed it
+    # |eps_1 + 1| is 0, 2 over the patterns with eps_2 = +1; a norm equal to t does not exceed it
     nv = enumerate_sign_norms([[1.0], [1.0]], SpaceSpec(1, 2))
-    assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0])[0].tolist() == [2, 4, 0, 2]
+    assert _counts_per_threshold(nv, [1.5, -0.5, 2.0, 0.0])[0].tolist() == [1, 2, 0, 1]
 
 
 def test_exact_tail_zero_beyond_total_mass():
@@ -309,9 +312,9 @@ def test_enumeration_against_product_oracle():
         w = rng.uniform(-1.5, 1.5, n)
         got = np.sort(enumerate_sign_norms(w[:, None] * x, sp))
         want = []
-        for signs in itertools.product((-1.0, 1.0), repeat=n):
+        for signs in itertools.product((-1.0, 1.0), repeat=n - 1):
             s = np.zeros(dim)
-            for eps, wi, xi in zip(signs, w, x):
+            for eps, wi, xi in zip(signs + (1.0,), w, x):
                 s = s + eps * wi * xi
             want.append(norm(s, sp))
         assert got == pytest.approx(np.sort(want), rel=1e-12, abs=1e-12)
@@ -319,7 +322,8 @@ def test_enumeration_against_product_oracle():
 
 def _per_bit_sign_norms(x, space):
     # reference: one pass per summand over all 2^n patterns, adding
-    # eps_i * x_i to the accumulator term by term
+    # eps_i * x_i to the accumulator term by term; pattern k sets
+    # eps_i = +1 when bit i of k is set
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     n = xa.shape[0]
     patterns = np.arange(1 << n, dtype=np.int64)
@@ -331,18 +335,24 @@ def _per_bit_sign_norms(x, space):
 
 
 def test_enumeration_matches_per_bit_loop_exactly():
-    # same pattern order and the same bits, not merely close values
+    # same pattern order and the same bits, not merely close values: the
+    # kernel gives the reference's upper half (eps_n = +1), and the lower
+    # half, their sign flips, is the upper half reversed.  dim >= 8 and
+    # q = 1.5 or 3 take norms' reduce, which adds a transposed view in
+    # another order
     rng = np.random.default_rng(77)
     for n in range(1, 11):
-        for dim in range(1, 5):
-            for q in (1.0, 2.0, 3.0, math.inf):
+        for dim in range(1, 11):
+            for q in (1.0, 1.5, 2.0, 3.0, math.inf):
                 sp = SpaceSpec(dim, q)
                 x = rng.standard_normal((n, dim))
                 x[rng.random((n, dim)) < 0.2] = -0.0
                 # unweighted, then pre-multiplied by weights as check_contraction does
                 for xw in (x, rng.uniform(-1.5, 1.5, n)[:, None] * x):
-                    got = enumerate_sign_norms(xw, sp)
-                    assert np.array_equal(got, _per_bit_sign_norms(xw, sp)), (n, dim, q)
+                    want = _per_bit_sign_norms(xw, sp)
+                    half = 1 << (n - 1)
+                    assert np.array_equal(want[:half], want[half:][::-1]), (n, dim, q)
+                    assert np.array_equal(enumerate_sign_norms(xw, sp), want[half:]), (n, dim, q)
 
 
 def test_enumeration_scale_equivariance():
@@ -360,6 +370,9 @@ def test_enumeration_errors():
     sp = SpaceSpec(1, 2)
     with pytest.raises(ConfigurationError, match="enumeration budget"):
         enumerate_sign_norms(np.ones((ENUMERATION_MAX_N + 1, 1)), sp)
+    # no summand leaves no sign to fix
+    with pytest.raises(ConfigurationError, match="at least one summand"):
+        enumerate_sign_norms(np.ones((0, 1)), sp)
     with pytest.raises(ConfigurationError, match="dim"):
         enumerate_sign_norms([[1.0, 2.0]], sp)
 
@@ -470,6 +483,22 @@ def test_mc_counts_totals_under_uneven_claiming(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert results[0] == results[1] == results[2]
+
+
+def test_mc_counts_claims_each_block_once():
+    # 10 replications in blocks of 3 are four blocks; a claim counter that
+    # stopped advancing would run block 0 again and again, so the fifth
+    # call fails instead of hanging
+    lengths = []
+
+    def block_fn(rng, m):
+        lengths.append(m)
+        if len(lengths) > 4:
+            raise AssertionError("more block calls than blocks")
+        return (m,)
+
+    assert mc_counts(block_fn, 10, KEY, block_size=3) == (10,)
+    assert sorted(lengths) == [1, 3, 3, 3]
 
 
 def test_worker_count_is_bounded_by_blocks_and_cpus():

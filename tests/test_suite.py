@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sumtails.errors import ConfigurationError, DomainError
-from sumtails.estimator import TailEstimate
+from sumtails.estimator import ENUMERATION_MAX_N, TailEstimate
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
     StreamKey,
@@ -21,7 +21,7 @@ from sumtails.sources import (
     uniform_ball,
     uniform_in_ball,
 )
-from sumtails.space import SpaceSpec
+from sumtails.space import SpaceSpec, norms
 from sumtails.suite import (
     DELTA_BOUNDED_AWAY,
     LEVY_EXACT_MAX_N,
@@ -36,6 +36,8 @@ from sumtails.suite import (
 from sumtails import suite
 from sumtails.suite import _classify, _counts_per_threshold, _finish_report
 from sumtails.transforms import rescale_factors
+from test_acceptance import criterion_01_configs, criterion_02_configs
+from test_estimator import _per_bit_sign_norms
 
 KEY = StreamKey(31415)
 
@@ -241,6 +243,44 @@ def test_contraction_mc_matches_exact():
     for e, m in zip(exact, mc):
         assert m.lhs.ci_low <= e.lhs.p_hat <= m.lhs.ci_high
         assert m.verdict != "violated"
+
+
+# ------------------------------------------------------- exact sign counts
+
+
+def _assert_every_pattern_counted(reports, u, u_scale, v, v_scale, space):
+    # the successes over all 2^n patterns, summed term by term, at each report's t
+    t = np.array([r.t for r in reports])
+    for side, x, scale in (("lhs", u, u_scale), ("rhs", v, v_scale)):
+        want = _counts_per_threshold(_per_bit_sign_norms(x, space), t * scale)[0].tolist()
+        assert [getattr(r, side).successes for r in reports] == want, side
+        assert {getattr(r, side).replications for r in reports} == {1 << len(x)}
+
+
+def _check_thm11_i_counts(x, fp, space):
+    reports = check_thm11_i(x, fp, space)
+    a_n, b_n = reports[0].config["a_n"], reports[0].config["b_n"]
+    t_vec = x * rescale_factors(norms(x, space), fp)[:, None]
+    _assert_every_pattern_counted(reports, x, b_n, t_vec, a_n, space)
+
+
+def _check_contraction_counts(x, w, space):
+    _assert_every_pattern_counted(check_contraction(x, w, space), w[:, None] * x, 1.0, x, 1.0, space)
+
+
+def test_exact_successes_count_every_sign_pattern():
+    # exact mode enumerates the eps_n = +1 half and doubles its counts;
+    # these are the configs of criteria 01 and 02, then n at the cap
+    for x, fp, space in criterion_01_configs():
+        _check_thm11_i_counts(x, fp, space)
+    for x, w, space in criterion_02_configs():
+        _check_contraction_counts(x, w, space)
+    n = ENUMERATION_MAX_N
+    space = SpaceSpec(2, np.inf)
+    fp = build_function_pair(power_pair(n, 0.5, 1.0))
+    _check_thm11_i_counts(uniform_in_ball(space, fp.pair.at(n)[1], KEY, n), fp, space)
+    w = np.random.default_rng(20).uniform(-1.0, 1.0, n)
+    _check_contraction_counts(uniform_in_ball(SpaceSpec(1, 2), 1.0, KEY.child(1), n), w, SpaceSpec(1, 2))
 
 
 # -------------------------------------------------------------- thm 1.1(ii)

@@ -6,16 +6,17 @@ Each mutant is one exact-match text replacement in one file under src/.
 For each, the runner copies src/, tests/, bench/, tools/ and
 pyproject.toml into a temporary directory (the golden-digest test runs
 the benchmark workloads through tools/csv_digests.py), applies the
-replacement there, runs the fast test subset (every test file but the
-acceptance gate, without the console-script test, stopping at the
-first failure) and prints "killed" when a test fails or "survived"
-when all pass.  A mutant that makes the subset run longer than four
-times the unmutated run plus 30 s (a loop that never ends, say) counts
-as killed; its whole process group is killed with it.  An unmutated run
-goes first and must pass, and a replacement whose text does not occur
-exactly once is an error, so a stale mutant can never count as killed.
-Every mutant runs each time, so the printed score always means the
-same thing; the exit code is 0 when every one was killed.
+replacement there, runs the fast test subset (the guard tests, then
+every test file but the acceptance gate, without the console-script
+test, stopping at the first failure) and prints "killed" when a test
+fails or "survived" when all pass.  A mutant that makes the subset run
+longer than four times the unmutated run plus 30 s (a loop that never
+ends, say) counts as killed; its whole process group is killed with it.
+An unmutated run goes first and must pass, and a replacement whose text
+does not occur exactly once is an error, so a stale mutant can never
+count as killed.  Every mutant runs each time, so the printed score
+always means the same thing; the exit code is 0 when every one was
+killed.
 
 The technique is DeMillo, Lipton & Sayward, "Hints on test data
 selection" (IEEE Computer, 1978).
@@ -38,6 +39,9 @@ FAST_TESTS = sorted(
     p.name for p in (ROOT / "tests").glob("test_*.py") if p.name != "test_acceptance.py"
 )
 DESELECT = ["tests/test_cli.py::test_console_script_installed"]
+# run first as well as in their files: a mutant that makes every Monte Carlo
+# pass loop forever fails one of these at once instead of running into the timeout
+GUARDS = ["tests/test_estimator.py::test_mc_counts_claims_each_block_once"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,7 @@ MUTANTS = (
         "elif q in (1.0, 2.0):",
     ),
     Mutant("no_scalar_unwrap", "space.py", "return out[..., 0][()]", "return out[..., 0]"),
+    Mutant("reduce_follows_layout", "space.py", 'np.multiply(a, a, order="C")', "np.multiply(a, a)"),
     Mutant(
         "summand_sums_scalar_einsum",
         "space.py",
@@ -227,6 +232,11 @@ MUTANTS = (
         "i, claimed = claimed, claimed + 1",
         "i, claimed = claimed, claimed",
     ),
+    # exact mode: the eps_n = +1 half of the sign patterns, counted twice
+    Mutant(
+        "half_counts_not_doubled", "suite.py", "        return 2 * counts, 2 * nan\n", "        return counts, nan\n"
+    ),
+    Mutant("last_summand_dropped", "estimator.py", "    sums += cols[n - 1]\n", ""),
     # the single input rules
     Mutant("index_from_zero", "norming.py", "if not 1 <= n <= len(self):", "if not n <= len(self):"),
     Mutant("stream_rule_r_floor", "sources.py", "if R is None or R < 100:", "if R is None or R < 10:"),
@@ -292,8 +302,8 @@ MUTANTS = (
 def run_tests(tree: Path, timeout: float | None = None) -> str:
     """'passed', 'failed' or 'timed out': the fast subset's outcome in tree."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-    cmd += [f"tests/{name}" for name in FAST_TESTS]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--keep-duplicates"]
+    cmd += GUARDS + [f"tests/{name}" for name in FAST_TESTS]
     cmd += [arg for test in DESELECT for arg in ("--deselect", test)]
     # a session of its own, so a timeout also stops the subprocesses the tests start
     proc = subprocess.Popen(
