@@ -48,6 +48,10 @@ STREAM_CRITERION = 3
 STREAM_VECTORS = 4
 STREAM_CRITERION_SYMM = 5
 
+# float64 elements of one weak-law draw: a chunk of summands for every running
+# sum of a block, or a gamma_n or criterion draw; 2 MB, a typical L2 cache
+_BUDGET_ELEMENTS = 1 << 18
+
 _REPLICATION_BITS = 48
 _MAX_REPLICATION = 1 << _REPLICATION_BITS
 _MAX_COUNTER = 1 << (64 - _REPLICATION_BITS)
@@ -346,6 +350,12 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
     dirs = _sphere_directions(rng, shape, d.space)
     dirs *= mag[..., None]
     return dirs
+
+
+def _budget_draws(count: int, dim: int) -> list[int]:
+    """The sizes of successive draws of count vectors, each at most _BUDGET_ELEMENTS // dim."""
+    step = max(1, _BUDGET_ELEMENTS // dim)
+    return [min(step, count - start) for start in range(0, count, step)]
 
 
 def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:

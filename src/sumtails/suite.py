@@ -33,8 +33,10 @@ from .norming import FunctionPair, NormingPair, check_ratio_monotone
 from .sources import (
     STREAM_CRITERION,
     STREAM_CRITERION_SYMM,
+    _BUDGET_ELEMENTS,
     DistributionSpec,
     StreamKey,
+    _budget_draws,
     _random_signs,
     _require_stream,
     draw,
@@ -73,7 +75,6 @@ DEFAULT_T_STOP = 3.0
 # the largest n whose 4^n sign pairs an int64 count holds
 LEVY_EXACT_MAX_N = 31
 
-_CHUNK_ELEMENTS = 1 << 22
 # the weak-law runs' default replications for Monte Carlo gamma_n and criterion estimates
 _AUX_R = 10**6
 
@@ -578,16 +579,25 @@ def _criterion_points(
     """n * P(||X|| > b_n) along the grid, closed form when available.
 
     The symmetrized variant estimates the tail of ||X - X'|| instead;
-    it always samples (no closed form is attempted).
+    it always samples (no closed form is attempted).  A sampled sequence
+    draws its criterion_R vectors in successive draws of at most
+    _BUDGET_ELEMENTS // dim, X and then X' per draw when symmetrized,
+    and adds up each draw's integer counts and NaN counts; a NaN is
+    refused once all criterion_R are counted.
     """
     analytic_vals = [None if symmetrized else tail_prob(d, b_n) for b_n in b_at]
     if any(v is None for v in analytic_vals):
         stream = STREAM_CRITERION_SYMM if symmetrized else STREAM_CRITERION
         rng = key.substream(stream).generator()
-        x = draw(d, rng, criterion_R)
-        if symmetrized:
-            x = x - draw(d, rng, criterion_R)
-        counts, nan = _counts_per_threshold(norms(x, d.space), b_at)
+        counts = np.zeros(len(b_at), dtype=np.int64)
+        nan = 0
+        for size in _budget_draws(criterion_R, d.space.dim):
+            x = draw(d, rng, size)
+            if symmetrized:
+                x -= draw(d, rng, size)
+            part, part_nan = _counts_per_threshold(norms(x, d.space), b_at)
+            counts += part
+            nan += part_nan
         _refuse_nan(nan, criterion_R, "criterion sequence", "Monte Carlo")
         sampled = _estimates(counts, criterion_R, confidence)
     return tuple(
@@ -605,9 +615,10 @@ def _prepare_wlln(
     The pass gives the centered diagnostic, then the symmetrized one
     when asked.  Each chunk of summands draws X and then, when
     symmetrized, X' from the replication's stream, and the chunk width
-    divides the element budget among the running sums.  These two rules
-    fix which draw lands in which replication; changing either changes
-    the results.
+    divides _BUDGET_ELEMENTS among the running sums, so a draw holds at
+    most that many elements unless one summand per sum already exceeds
+    it.  These two rules fix which draw lands in which replication and
+    the order in which the sums add; changing either changes the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
     _require_mc(R, key, block_size, threads)
@@ -633,7 +644,7 @@ def _prepare_wlln(
         def statistics(rng, m):
             # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
             sums = np.zeros((k, m, dim))
-            chunk = max(1, _CHUNK_ELEMENTS // (k * m * dim))
+            chunk = max(1, _BUDGET_ELEMENTS // (k * m * dim))
             prev = 0
             for n, gamma, b_n in zip(grid, gammas, b_at):
                 need = n - prev

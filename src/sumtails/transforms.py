@@ -16,6 +16,7 @@ from .sources import (
     STREAM_GAMMA,
     DistributionSpec,
     StreamKey,
+    _budget_draws,
     _require_stream,
     draw,
     truncated_mean,
@@ -88,13 +89,17 @@ def gamma_n(
     shape (len, dim).  Analytic mode covers every provably symmetric
     spec (the mean is zero), point masses, and one-dimensional
     Pareto/uniform laws and their shifts; 'auto' takes it whenever the
-    law has it, else Monte Carlo.  Monte Carlo mode makes one draw of
-    R vectors from key.substream(STREAM_GAMMA), disjoint from the
-    experiment's sample paths, for the whole grid: each draw falls in
-    the bin of the first b_n at or above its norm (a tie lies inside),
-    the bins' coordinate sums accumulate along the grid, and row i is
-    n_i times that partial sum over R.  An infinite draw lies beyond
-    every finite b_n and adds nothing; a NaN norm is refused.
+    law has it, else Monte Carlo.  Monte Carlo mode draws R vectors from
+    key.substream(STREAM_GAMMA), disjoint from the experiment's sample
+    paths, for the whole grid, in successive draws of at most
+    _BUDGET_ELEMENTS // dim vectors, so its memory does not grow with R.
+    Each vector falls in the bin of the first b_n at or above its norm
+    (a tie lies inside), each draw's bin sums add into the bins'
+    coordinate sums, these accumulate along the grid, and row i is n_i
+    times that partial sum over R.  The draw size fixes the order of the
+    additions, so changing it moves the last bits.  An infinite draw
+    lies beyond every finite b_n and adds nothing; a NaN norm is refused,
+    with the count over all R, before any row is formed.
     """
     b = np.asarray(b_n, dtype=float)
     ns = np.asarray(n)
@@ -112,13 +117,21 @@ def gamma_n(
         out = ns[:, None] * np.array([truncated_mean(d, float(t)) for t in b])
     else:
         _require_stream(R, key)
-        x = draw(d, key.substream(STREAM_GAMMA).generator(), R)
-        nx = norms(x, d.space)
-        _refuse_nan(int(np.count_nonzero(np.isnan(nx))), R, "gamma_n", "Monte Carlo")
-        # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid, is dropped
-        bins = np.searchsorted(b, nx, side="left")
-        partial = np.empty((b.size, d.space.dim))
-        for j in range(d.space.dim):
-            partial[:, j] = np.bincount(bins, weights=x[:, j], minlength=b.size + 1)[:-1]
+        rng = key.substream(STREAM_GAMMA).generator()
+        dim = d.space.dim
+        partial = np.zeros((b.size, dim))
+        nan = 0
+        for size in _budget_draws(R, dim):
+            x = draw(d, rng, size)
+            nx = norms(x, d.space)
+            nan += int(np.count_nonzero(np.isnan(nx)))
+            # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid (NaN too), is
+            # dropped.  One bincount for every coordinate: cell j * (len(b) + 1) + i sums
+            # coordinate j of bin i in the draw's row order, as a bincount per coordinate would
+            cells = np.searchsorted(b, nx, side="left") + (b.size + 1) * np.arange(dim)[:, None]
+            sums = np.bincount(cells.ravel(), weights=x.T.ravel(), minlength=dim * (b.size + 1))
+            partial += sums.reshape(dim, b.size + 1)[:, :-1].T
+            del x, nx, cells  # held into the next draw, they would add about a budget to the peak
+        _refuse_nan(nan, R, "gamma_n", "Monte Carlo")
         out = ns[:, None] * np.cumsum(partial, axis=0) / R
     return out if grid else out[0]

@@ -10,6 +10,9 @@ from sumtails.errors import ConfigurationError, DomainError
 from sumtails.estimator import ENUMERATION_MAX_N, TailEstimate
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
+    _BUDGET_ELEMENTS,
+    STREAM_CRITERION,
+    STREAM_CRITERION_SYMM,
     StreamKey,
     draw,
     pareto_one_sided,
@@ -34,7 +37,7 @@ from sumtails.suite import (
     run_wlln,
 )
 from sumtails import suite
-from sumtails.suite import _classify, _counts_per_threshold, _finish_report
+from sumtails.suite import _classify, _counts_per_threshold, _criterion_points, _finish_report
 from sumtails.transforms import rescale_factors
 from test_acceptance import criterion_01_configs, criterion_02_configs
 from test_estimator import _per_bit_sign_norms
@@ -855,6 +858,59 @@ def test_cross_check_diverging_case():
 
 def _successes(diag):
     return [[e.successes for e in row] for row in diag.estimates]
+
+
+def test_criterion_counts_add_up_over_budgeted_draws():
+    # pareto_one_sided takes all its vectors from one generator call, so three
+    # budgeted draws count what one draw of all criterion_R vectors counts;
+    # the symmetrized sequence draws X and then X' per draw
+    d = pareto_one_sided(1.5, SpaceSpec(2, 2.0), "iid_coordinates")
+    pair = power_pair(64, 0.5, 1.0)
+    step = _BUDGET_ELEMENTS // 2
+    R = 2 * step + 1234
+    out = cross_check_symmetrization(
+        d, pair, n_grid=[2, 8, 64], R=100, key=KEY, gamma_R=100, criterion_R=R
+    )
+    b_at = [2.0, 8.0, 64.0]
+    x = draw(d, KEY.substream(STREAM_CRITERION).generator(), R)
+    want = [int(np.count_nonzero(norms(x, d.space) > b)) for b in b_at]
+    assert [c.p.successes for c in out.plain.criterion] == want
+    rng = KEY.substream(STREAM_CRITERION_SYMM).generator()
+    diffs = [draw(d, rng, size) - draw(d, rng, size) for size in (step, step, 1234)]
+    want = [int(np.count_nonzero(norms(np.concatenate(diffs), d.space) > b)) for b in b_at]
+    assert [c.p.successes for c in out.symmetrized.criterion] == want
+
+
+def test_criterion_nan_count_covers_every_draw():
+    # ||X - X'|| of pareto_symmetric(0.005) overflows to inf - inf in each of the
+    # three draws; the refusal counts the NaNs of all criterion_R differences
+    d = pareto_symmetric(0.005)
+    step = _BUDGET_ELEMENTS
+    R = 2 * step + 1234
+    rng = KEY.substream(STREAM_CRITERION_SYMM).generator()
+    with np.errstate(invalid="ignore"):
+        per_draw = [int(np.isnan(draw(d, rng, size) - draw(d, rng, size)).sum()) for size in (step, step, 1234)]
+    assert per_draw[1] > 0
+    with pytest.raises(DomainError, match=rf"criterion sequence: {sum(per_draw)} of {R} Monte Carlo"):
+        _criterion_points(d, [4, 16], [4.0, 16.0], KEY, R, 0.95, symmetrized=True)
+
+
+def test_weak_law_memory_is_bounded():
+    # every weak-law array holds at most _BUDGET_ELEMENTS floats: m * n * dim =
+    # 256 * 4096 * 2 is 8 budgets, and gamma_R = criterion_R = 2e6 vectors in R^2
+    # are 15 budgets each, yet the whole run stays within a few budgets
+    d = pareto_one_sided(1.5, SpaceSpec(2, 2.0), "iid_coordinates")
+    pair = power_pair(4096, 0.5, 1.0)
+    budget = 8 * _BUDGET_ELEMENTS
+    run_wlln(d, pair, n_grid=[2], R=100, key=KEY, gamma_R=100, criterion_R=100)  # imports out of the count
+    for run in (run_wlln, cross_check_symmetrization):
+        tracemalloc.start()
+        try:
+            run(d, pair, n_grid=[4096], R=256, key=KEY, gamma_R=2 * 10**6, criterion_R=2 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * budget, (run.__name__, peak / budget)
 
 
 def test_weak_law_stream_layout_is_pinned():

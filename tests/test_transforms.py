@@ -8,6 +8,7 @@ from sumtails import transforms
 from sumtails.errors import ConfigurationError, DomainError
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
+    _BUDGET_ELEMENTS,
     STREAM_GAMMA,
     StreamKey,
     _require_stream,
@@ -212,6 +213,35 @@ def test_gamma_grid_matches_the_truncated_mean(d, b):
         assert abs(got[i, 0] - exact) <= 5.0 * se
 
 
+def _one_draw_gamma(d, b, ns, R):
+    """gamma_n's Monte Carlo rows from one draw of all R vectors, binned as gamma_n bins."""
+    x = draw(d, KEY.substream(STREAM_GAMMA).generator(), R)
+    bins = np.searchsorted(b, norms(x, d.space), side="left")
+    partial = np.empty((len(b), d.space.dim))
+    for j in range(d.space.dim):
+        partial[:, j] = np.bincount(bins, weights=x[:, j], minlength=len(b) + 1)[:-1]
+    return np.asarray(ns)[:, None] * np.cumsum(partial, axis=0) / R
+
+
+def test_gamma_draws_in_budgeted_chunks():
+    # pareto_one_sided takes all its vectors from one generator call, so successive
+    # draws replay one draw of all R: within one draw the rows equal the one-draw
+    # rows bit for bit, and over three draws they differ only in the order of the
+    # additions, within 1e-12 of exactly rounded sums
+    d = pareto_one_sided(1.5, SpaceSpec(2, 2.0), "iid_coordinates")
+    b, ns = [2.0, 8.0, 64.0], np.array([2, 8, 64])
+    step = _BUDGET_ELEMENTS // 2
+    one = gamma_n(d, b, ns, mode="monte_carlo", R=step, key=KEY)
+    assert one.tolist() == _one_draw_gamma(d, b, ns, step).tolist()
+    R = 2 * step + 1234
+    got = gamma_n(d, b, ns, mode="monte_carlo", R=R, key=KEY)
+    x = draw(d, KEY.substream(STREAM_GAMMA).generator(), R)
+    nx = norms(x, d.space)
+    for i, (t, n) in enumerate(zip(b, ns)):
+        for j in range(2):
+            assert got[i, j] == pytest.approx(n * math.fsum(x[nx <= t, j]) / R, rel=1e-12, abs=0.0)
+
+
 def _patched_draw(monkeypatch, values):
     x = np.asarray(values, dtype=float)[:, None]
     monkeypatch.setattr(transforms, "draw", lambda d, rng, R: x.copy())
@@ -222,6 +252,26 @@ def test_gamma_refuses_a_nan_draw(monkeypatch):
     for b, n in ((2.0, 2), ([1.0, 2.0], [1, 2])):
         with pytest.raises(DomainError, match=r"^gamma_n: 1 of 100 Monte Carlo statistics are NaN"):
             gamma_n(pareto_one_sided(1.5), b, n, mode="monte_carlo", R=100, key=KEY)
+
+
+def test_gamma_counts_nans_over_every_draw(monkeypatch):
+    # a clean first draw, then one NaN in each later draw: the refusal counts
+    # the NaNs of all R vectors, not those of the first draw that has one
+    step = _BUDGET_ELEMENTS
+    calls = []
+
+    def fake_draw(d, rng, size):
+        x = np.full((size, 1), 0.5)
+        if calls:
+            x[-1, 0] = math.nan
+        calls.append(size)
+        return x
+
+    monkeypatch.setattr(transforms, "draw", fake_draw)
+    R = 2 * step + 10
+    with pytest.raises(DomainError, match=rf"^gamma_n: 2 of {R} Monte Carlo statistics are NaN"):
+        gamma_n(pareto_one_sided(1.5), 2.0, 2, mode="monte_carlo", R=R, key=KEY)
+    assert calls == [step, step, 10]
 
 
 def test_gamma_excludes_an_infinite_draw(monkeypatch):

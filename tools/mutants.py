@@ -163,15 +163,38 @@ MUTANTS = (
     Mutant(
         "gamma_tie_outside",
         "transforms.py",
-        'bins = np.searchsorted(b, nx, side="left")',
-        'bins = np.searchsorted(b, nx, side="right")',
+        'np.searchsorted(b, nx, side="left")',
+        'np.searchsorted(b, nx, side="right")',
     ),
-    Mutant("gamma_bin_off_by_one", "transforms.py", "minlength=b.size + 1)[:-1]", "minlength=b.size + 1)[1:]"),
+    Mutant("gamma_bin_off_by_one", "transforms.py", "b.size + 1)[:, :-1].T", "b.size + 1)[:, 1:].T"),
     Mutant(
         "gamma_nan_dropped",
         "transforms.py",
-        '        _refuse_nan(int(np.count_nonzero(np.isnan(nx))), R, "gamma_n", "Monte Carlo")\n',
+        '        _refuse_nan(nan, R, "gamma_n", "Monte Carlo")\n',
         "",
+    ),
+    # the byte budget: gamma_n and the criterion add up their budgeted draws
+    Mutant("gamma_chunk_overwrites", "transforms.py", "partial += sums.reshape(", "partial = sums.reshape("),
+    Mutant(
+        "budget_ignored_in_gamma",
+        "transforms.py",
+        "for size in _budget_draws(R, dim):",
+        "for size in [R]:",
+    ),
+    Mutant("criterion_last_chunk_only", "suite.py", "            counts += part\n", "            counts = part\n"),
+    Mutant("gamma_nan_last_draw_only", "transforms.py", "nan += int(np.count_nonzero(", "nan = int(np.count_nonzero("),
+    Mutant("criterion_nan_last_draw_only", "suite.py", "nan += part_nan", "nan = part_nan"),
+    Mutant(
+        "budget_ignored_in_criterion",
+        "suite.py",
+        "for size in _budget_draws(criterion_R, d.space.dim):",
+        "for size in [criterion_R]:",
+    ),
+    Mutant(
+        "budget_ignored_in_chunks",
+        "suite.py",
+        "chunk = max(1, _BUDGET_ELEMENTS // (k * m * dim))",
+        "chunk = max(1, (1 << 22) // (k * m * dim))",
     ),
     # the samplers
     Mutant("sign_bit_strict", "sources.py", "upper = u >= 0.5", "upper = u > 0.5"),
@@ -287,6 +310,14 @@ MUTANTS = (
         "sources.py",
         "neg = -(0.5 * _pareto_partial_mean(",
         "neg = (0.5 * _pareto_partial_mean(",
+    ),
+    # the default t grid over max(a_n, b_n): the same grid wherever b_n >= a_n, so only
+    # the relation (x, b) -> (4x, 4b) of thm11_i sees it
+    Mutant(
+        "t_stop_over_larger_norming",
+        "suite.py",
+        "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)",
+        "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / max(a_n, b_n))",
     ),
     # power: an rhs that counts every replication whose lhs exceeds can never be violated
     Mutant(
