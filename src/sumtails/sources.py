@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,8 +50,9 @@ STREAM_CRITERION = 3
 STREAM_VECTORS = 4
 STREAM_CRITERION_SYMM = 5
 
-# float64 elements of one weak-law draw: a chunk of summands for every running
-# sum of a block, or a gamma_n or criterion draw; 2 MB, a typical L2 cache
+# float64 elements of one Monte Carlo array: a piece of a block, a chunk of
+# summands for every running sum of a piece, or a gamma_n or criterion draw;
+# 2 MB, a typical L2 cache
 _BUDGET_ELEMENTS = 1 << 18
 
 _REPLICATION_BITS = 48
@@ -110,12 +113,20 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+# a bound on run time, not on memory (a block runs in pieces of one budget
+# whatever R is): 2^40 replications of a single summand each take more than
+# half a day at 1.8e7 summands a second, the Monte Carlo sweep's measured rate
+_MAX_R = 1 << 40
+
+
 def _require_stream(R, key) -> None:
-    """What every Monte Carlo run needs: a StreamKey and R >= 100 replications."""
+    """What every Monte Carlo run needs: a StreamKey and 100 <= R <= 2^40 replications."""
     if key is None:
         raise ConfigurationError("Monte Carlo needs a StreamKey")
     if R is None or R < 100:
         raise ConfigurationError(f"Monte Carlo needs R >= 100, got {R}")
+    if R > _MAX_R:
+        raise ConfigurationError(f"Monte Carlo needs R <= 2^40, got {R}")
 
 
 _KINDS = {
@@ -233,13 +244,21 @@ def shifted(base: DistributionSpec, shift) -> DistributionSpec:
     return DistributionSpec(kind="shifted", space=base.space, lifting=base.lifting, base=base, shift=sv)
 
 
-def _stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
-    """Chambers-Mallows-Stuck: a uniform angle and an exponential."""
-    theta = rng.uniform(-math.pi / 2, math.pi / 2, shape)
+def _uniform(rng: np.random.Generator, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(lo, hi) into out: lo + (hi - lo) * u, the operations numpy makes, so its bits."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+    return out
+
+
+def _stable_draws(alpha: float, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Chambers-Mallows-Stuck into out: a uniform angle and an exponential."""
+    theta = _uniform(rng, -math.pi / 2, math.pi / 2, out)
     if alpha == 1.0:
         # the Cauchy case needs no exponential at all
         return np.tan(theta, out=theta)
-    w = rng.standard_exponential(shape)
+    w = rng.standard_exponential(theta.shape)
     # (sin(at) / cos(theta) ** (1 / alpha)) * (cos(theta - at) / w) ** ((1 - alpha) / alpha),
     # each step in place; the same operations on the same operands, so the same bits
     at = alpha * theta
@@ -251,15 +270,17 @@ def _stable_draws(alpha: float, rng: np.random.Generator, shape) -> np.ndarray:
     np.sin(at, out=at)
     c **= 1.0 / alpha
     at /= c
-    at *= theta
-    return at
+    theta *= at
+    return theta
 
 
-def _random_signs(rng: np.random.Generator, shape) -> np.ndarray:
-    """Independent fair +-1.0 floats, one raw random bit each."""
+def _random_signs(rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+    """Independent fair +-1.0 floats of the given shape, one raw random bit each, into out if given."""
     n = math.prod(shape)
     bits = np.unpackbits(np.frombuffer(rng.bytes((n + 7) // 8), dtype=np.uint8), count=n)
-    return (bits * 2.0 - 1.0).reshape(shape)
+    out = np.multiply(bits.reshape(shape), 2.0, out=out)
+    out -= 1.0
+    return out
 
 
 def _pareto_tail(alpha: float, u: np.ndarray) -> np.ndarray:
@@ -269,16 +290,17 @@ def _pareto_tail(alpha: float, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
+def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Draws of the scalar law, one per element of out, written into out."""
     k = d.kind
     if k == "rademacher":
-        return _random_signs(rng, shape)
+        return _random_signs(rng, out.shape, out)
     if k == "pareto_one_sided":
-        return _pareto_tail(d.alpha, rng.random(shape))
+        return _pareto_tail(d.alpha, rng.random(out=out))
     if k == "pareto_symmetric":
         # the top bit of u is the sign; v = 2u - [u >= 1/2] is the rest
         # of u, exactly, and uniform on a 2**-52 grid independent of it
-        u = rng.random(shape)
+        u = rng.random(out=out)
         upper = u >= 0.5
         u *= 2.0
         u -= upper
@@ -291,30 +313,32 @@ def _scalar_draws(d: DistributionSpec, rng: np.random.Generator, shape) -> np.nd
         x *= sign
         return x
     if k == "stable_symmetric":
-        return _stable_draws(d.alpha, rng, shape)
+        return _stable_draws(d.alpha, rng, out)
     if k == "uniform_ball":
-        return rng.uniform(-d.radius, d.radius, shape)
+        return _uniform(rng, -d.radius, d.radius, out)
     raise ConfigurationError(f"kind {k!r} has no scalar form")
 
 
-def _sphere_directions(rng: np.random.Generator, shape, space: SpaceSpec) -> np.ndarray:
-    """Uniform directions on the unit l_q sphere of the space.
+def _sphere_directions(rng: np.random.Generator, out: np.ndarray, space: SpaceSpec) -> np.ndarray:
+    """Uniform directions on the unit l_q sphere of the space, one per row of out's last axis, into out.
 
     Coordinates with density proportional to exp(-|t|^q), normalized,
     land uniformly on the sphere: standard normals for q = 2 (Muller,
     CACM 1959), signed standard exponentials for q = 1, signed
     Gamma(1/q)^(1/q) otherwise; the cube's uniform law for q = inf.
     """
-    full = tuple(shape) + (space.dim,)
     q = space.q
     if math.isinf(q):
-        g = rng.uniform(-1.0, 1.0, full)
+        g = _uniform(rng, -1.0, 1.0, out)
     elif q == 2.0:
-        g = rng.standard_normal(full)
+        g = rng.standard_normal(out=out)
     elif q == 1.0:
-        g = rng.standard_exponential(full) * _random_signs(rng, full)
+        g = rng.standard_exponential(out=out)
+        g *= _random_signs(rng, g.shape)
     else:
-        g = rng.standard_gamma(1.0 / q, full) ** (1.0 / q) * _random_signs(rng, full)
+        g = rng.standard_gamma(1.0 / q, out=out)
+        g **= 1.0 / q
+        g *= _random_signs(rng, g.shape)
     scale = norms(g, space)[..., None]
     scale[scale == 0.0] = 1.0
     g /= scale
@@ -322,32 +346,47 @@ def _sphere_directions(rng: np.random.Generator, shape, space: SpaceSpec) -> np.
 
 
 def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
-    """Draw an array of vectors of shape (*shape, dim) from d using rng."""
-    if isinstance(shape, int):
-        shape = (shape,)
+    """Draw an array of vectors of shape (*shape, dim) from d using rng.
+
+    shape may instead be a C-contiguous float64 array of shape
+    (*rows, dim): it receives the draws of shape rows and is returned,
+    the same bits as a fresh array of them.
+    """
     dim = d.space.dim
+    if isinstance(shape, np.ndarray):
+        out, shape = shape, shape.shape[:-1]
+        if out.shape[-1:] != (dim,):
+            raise ConfigurationError(f"an array to draw into must end in an axis of {dim}, got shape {out.shape}")
+    else:
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        out = np.empty(shape + (dim,))
     if d.kind == "point_mass":
-        return np.broadcast_to(np.asarray(d.v, dtype=float), tuple(shape) + (dim,)).copy()
+        out[...] = d.v
+        return out
     if d.kind == "shifted":
-        return draw(d.base, rng, shape) + np.asarray(d.shift, dtype=float)
+        draw(d.base, rng, out)
+        out += np.asarray(d.shift, dtype=float)
+        return out
     if d.lifting == "scalar":
-        return _scalar_draws(d, rng, shape)[..., None]
+        _scalar_draws(d, rng, out[..., 0])
+        return out
     if d.lifting == "iid_coordinates":
         q = d.space.q
-        x = _scalar_draws(d, rng, tuple(shape) + (dim,))
+        _scalar_draws(d, rng, out)
         factor = 1.0 if math.isinf(q) else dim ** (-1.0 / q)
         if factor != 1.0:
-            x *= factor
-        return x
+            out *= factor
+        return out
     # radial: |X| itself, then a direction
     if d.kind == "rademacher":
-        return _sphere_directions(rng, shape, d.space)
+        return _sphere_directions(rng, out, d.space)
+    mag = np.empty(shape)
     if d.kind == "pareto_symmetric":
         # the one-sided magnitude, so no sign is drawn only to be dropped
-        mag = _pareto_tail(d.alpha, rng.random(shape))
+        _pareto_tail(d.alpha, rng.random(out=mag))
     else:
-        mag = np.abs(_scalar_draws(d, rng, shape))
-    dirs = _sphere_directions(rng, shape, d.space)
+        np.abs(_scalar_draws(d, rng, mag), out=mag)
+    dirs = _sphere_directions(rng, out, d.space)
     dirs *= mag[..., None]
     return dirs
 
@@ -356,6 +395,49 @@ def _budget_draws(count: int, dim: int) -> list[int]:
     """The sizes of successive draws of count vectors, each at most _BUDGET_ELEMENTS // dim."""
     step = max(1, _BUDGET_ELEMENTS // dim)
     return [min(step, count - start) for start in range(0, count, step)]
+
+
+class _Workspace:
+    """The float64 buffers that a worker's Monte Carlo arrays are written into.
+
+    ws(role, shape) is a view of the buffer of that role, grown to the
+    largest shape asked of it, so steady-state pieces need no new buffer.
+    Every caller shares the four roles: "draws" and "draws2" for arrays
+    of up to a budget (a piece's draws or signs, X', the weak law's
+    running sums, a gamma_n or criterion draw), "norms" and "factors"
+    for one value per vector.  So a workspace holds at most four
+    budgets, whatever ran in it before.  A request past
+    _BUDGET_ELEMENTS, which only a replication larger than the budget
+    makes, gets a fresh array that is not kept.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray | None] = dict.fromkeys(("draws", "draws2", "norms", "factors"))
+
+    def __call__(self, role: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        if size > _BUDGET_ELEMENTS:
+            return np.empty(shape)
+        buf = self._buffers[role]
+        if buf is None or buf.size < size:
+            buf = self._buffers[role] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+# workspaces not in use, kept across passes: a running block, gamma_n or a
+# criterion sequence takes one, so they number the most that ever ran at once
+_idle_workspaces: list[_Workspace] = []
+_idle_lock = threading.Lock()
+
+
+@contextmanager
+def _workspace():
+    """An idle workspace, or a new one, given back for later callers unless the caller raises."""
+    with _idle_lock:
+        ws = _idle_workspaces.pop() if _idle_workspaces else _Workspace()
+    yield ws
+    with _idle_lock:
+        _idle_workspaces.append(ws)
 
 
 def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:
@@ -374,7 +456,7 @@ def uniform_in_ball(space: SpaceSpec, radius: float, k: StreamKey, count: int) -
     if radius <= 0:
         raise ConfigurationError(f"radius must be positive, got {radius}")
     rng = k.generator()
-    dirs = _sphere_directions(rng, (count,), space)
+    dirs = _sphere_directions(rng, np.empty((count, space.dim)), space)
     radii = radius * rng.random(count) ** (1.0 / space.dim)
     return dirs * radii[:, None]
 

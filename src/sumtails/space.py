@@ -71,8 +71,8 @@ def norm(v, space: SpaceSpec) -> float:
     return math.fsum(abs(float(x)) ** q for x in a) ** (1.0 / q)
 
 
-def norms(arr, space: SpaceSpec) -> np.ndarray:
-    """Batched l_q norms along the last axis (vectorised, no fsum).
+def norms(arr, space: SpaceSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Batched l_q norms along the last axis (vectorised, no fsum), into out if given.
 
     For q in {1, 2, inf} the norm accumulates over the columns a[..., j],
     j = 0, 1, ..., with in-place ufuncs instead of numpy's reduce over
@@ -81,30 +81,35 @@ def norms(arr, space: SpaceSpec) -> np.ndarray:
     norms are bit-identical to it; from there on numpy sums pairwise,
     and q = 1 and 2 keep the reduce.  The reduce reads C-ordered rows
     whatever the layout of arr (numpy adds a transposed view in another
-    order), so no norm depends on the layout of arr.
+    order), so no norm depends on the layout of arr.  out, a float64
+    array of shape arr.shape[:-1], receives the same bits.
     """
     a = np.asarray(arr, dtype=float)
     _check_dim(a, space, "last axis")
     dim, q = space.dim, space.q
     if dim == 1:
-        return np.abs(np.squeeze(a, axis=-1))
+        return np.abs(np.squeeze(a, axis=-1), out=out)
     if math.isinf(q):
         step = np.maximum
     elif q in (1.0, 2.0) and dim < _PAIRWISE_TERMS:
         step = np.add
     elif q == 1.0:
-        return np.sum(np.abs(a, order="C"), axis=-1)
+        return np.sum(np.abs(a, order="C"), axis=-1, out=out)
     elif q == 2.0:
-        return np.sqrt(np.sum(np.multiply(a, a, order="C"), axis=-1))
+        return np.sqrt(np.sum(np.multiply(a, a, order="C"), axis=-1, out=out), out=out)
     else:
-        return np.sum(np.abs(a, order="C") ** q, axis=-1) ** (1.0 / q)
+        out = np.sum(np.abs(a, order="C") ** q, axis=-1, out=out)
+        # in place on an array; a single vector's scalar takes the scalar power, as before
+        out **= 1.0 / q
+        return out
 
-    def column(j):
+    def column(j, into=None):
         # a slice, not a[..., j], so a single vector gives an array out= can write
         c = a[..., j : j + 1]
-        return c * c if q == 2.0 else np.abs(c)
+        return np.multiply(c, c, out=into) if q == 2.0 else np.abs(c, out=into)
 
-    out = column(0)
+    # a given out accumulates as a (..., 1) column, the slices' shape
+    out = column(0, None if out is None else out[..., None])
     for j in range(1, dim):
         step(out, column(j), out=out)
     if q == 2.0:

@@ -21,6 +21,7 @@ from .errors import ConfigurationError, _refuse_nan
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
+    _add,
     _estimates,
     _require_block_size,
     _require_confidence,
@@ -39,6 +40,7 @@ from .sources import (
     _budget_draws,
     _random_signs,
     _require_stream,
+    _workspace,
     draw,
     is_symmetric,
     tail_prob,
@@ -174,17 +176,39 @@ def _counts_per_threshold(stat: np.ndarray, thresholds) -> tuple[np.ndarray, int
     return valid - at_most, nan
 
 
-def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
+def _piece_rows(m: int, per_rep: int):
+    """The rows of the successive pieces of a block of m replications, per_rep elements each.
+
+    A piece holds at most _BUDGET_ELEMENTS elements unless one
+    replication already exceeds them.  Its rows are a multiple of 32
+    when more than 32 fit, else of 32 // gcd(per_rep, 32) when that many
+    fit, so that per_rep random signs a row end on a whole 32-bit word
+    and the signs of the pieces are the block's.  Only a replication of
+    more than 8192 elements of which fewer than 32 // gcd(per_rep, 32)
+    fit the budget (per_rep = 8193, say) splits a word between pieces.
+    """
+    step = max(1, _BUDGET_ELEMENTS // per_rep)
+    align = 32 if step > 32 else 32 // math.gcd(per_rep, 32)
+    if step >= align:
+        step -= step % align
+    return (min(step, m - start) for start in range(0, m, step))
+
+
+def _mc_pass(name, statistics, per_rep, thresholds, R, key, block_size, threads):
     """Success counts of every statistic at every threshold over R replications.
 
-    statistics(rng, m) yields arrays holding one statistic of m
-    replications each, then any ints to total over all blocks.  Returns
-    the (statistics x thresholds) count matrix and the totals of those
-    ints; a NaN statistic is refused, never skipped.
+    statistics(rng, m, ws) yields arrays holding one statistic of m
+    replications each, then any ints to total over all blocks; its
+    largest array holds per_rep elements per replication, and ws is the
+    sources._Workspace its arrays may go into.  Each block runs as pieces of
+    _piece_rows, one after another from the block's one generator, and
+    adds up their counts, so no array grows with the block size.
+    Returns the (statistics x thresholds) count matrix and the totals of
+    those ints; a NaN statistic is refused, never skipped.
     """
-    def block(rng, m):
+    def piece(rng, m, ws):
         counts, extra, nan = [], [], 0
-        for s in statistics(rng, m):
+        for s in statistics(rng, m, ws):
             if isinstance(s, int):
                 extra.append(s)
                 continue
@@ -192,6 +216,13 @@ def _mc_pass(name, statistics, thresholds, R, key, block_size, threads):
             counts.append(c)
             nan += s_nan
         return np.array(counts), np.array(extra, dtype=np.int64), nan
+
+    def block(rng, m):
+        total = None
+        with _workspace() as ws:
+            for rows in _piece_rows(m, per_rep):
+                total = _add(total, piece(rng, rows, ws))
+        return total
 
     counts, extra, nan = mc_counts(block, R, key, block_size=block_size, threads=threads)
     _refuse_nan(nan, len(counts) * R, name, "Monte Carlo")
@@ -213,16 +244,17 @@ def _report_config(space: SpaceSpec, d: DistributionSpec | None = None, **fields
 
 def _compare(
     name, tg, factor, config, confidence, mode, R, key, block_size, threads,
-    sides, exact=None, tail=None, tail_weight=0,
+    sides, per_rep, exact=None, tail=None, tail_weight=0,
 ):
     """Refuses a bad mode, confidence or Monte Carlo input, else returns the pass: a report per threshold.
 
     Exact mode takes exact(): the counts and NaN count of the lhs and of
     the rhs, as _counts_per_threshold returns them, and the number of
     equally likely outcomes.
-    Monte Carlo runs sides, the lhs and rhs statistics and any ints,
-    through _mc_pass; tail(totals) turns the totals of those ints into
-    the tail term, which the bound weighs by tail_weight.
+    Monte Carlo runs sides, the lhs and rhs statistics and any ints, with
+    per_rep elements per replication, through _mc_pass; tail(totals)
+    turns the totals of those ints into the tail term, which the bound
+    weighs by tail_weight.
     """
     if mode not in ("exact", "mc"):
         raise ConfigurationError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -236,7 +268,7 @@ def _compare(
             (lhs, nan_l), (rhs, nan_r), reps = exact()
             _refuse_nan(nan_l + nan_r, 2 * reps, name, "exact")
         else:
-            (lhs, rhs), extra = _mc_pass(name, sides, tg, R, key, block_size, threads)
+            (lhs, rhs), extra = _mc_pass(name, sides, per_rep, tg, R, key, block_size, threads)
             reps = R
             if tail is not None:
                 tail_term = tail(extra)
@@ -271,11 +303,14 @@ def _signed_comparison(
     def exact():
         return doubled(u, tg * u_scale), doubled(v, tg * v_scale), 1 << n
 
-    def sides(rng, m):
-        signs = _random_signs(rng, (m, n))
+    def sides(rng, m, ws):
+        signs = _random_signs(rng, (m, n), ws("draws", (m, n)))
         return norms(signs @ u, space) / u_scale, norms(signs @ v, space) / v_scale
 
-    return _compare(name, tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact)
+    # a replication holds n signs and two sums of dim coordinates
+    return _compare(
+        name, tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, max(n, space.dim), exact
+    )
 
 
 def _prepare_thm11_i(x, fp, space, t_grid, mode, R, key, confidence, block_size, threads):
@@ -391,11 +426,11 @@ def _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads)
     analytic_tail = tail_prob(d, b_n)
     config = _report_config(space, d, n=n, a_n=a_n, b_n=b_n, R=R, mode="mc")
 
-    def sides(rng, m):
-        v = draw(d, rng, (m, n))
-        nv = norms(v, space)
+    def sides(rng, m, ws):
+        v = draw(d, rng, ws("draws", (m, n, space.dim)))
+        nv = norms(v, space, out=ws("norms", (m, n)))
         s_l = norms(_summand_sums(v), space) / b_n
-        v *= rescale_factors(nv, fp)[..., None]  # now the rescaled T_i
+        v *= rescale_factors(nv, fp, out=ws("factors", (m, n)))[..., None]  # now the rescaled T_i
         s_r = norms(_summand_sums(v), space) / a_n
         return s_l, s_r, int((nv > b_n).sum())
 
@@ -406,7 +441,7 @@ def _prepare_thm11_ii(d, fp, n, t_grid, R, key, confidence, block_size, threads)
 
     return _compare(
         "thm11_ii", tg, 4.0, config, confidence, "mc", R, key, block_size, threads,
-        sides, tail=tail, tail_weight=n,
+        sides, n * space.dim, tail=tail, tail_weight=n,
     )
 
 
@@ -461,14 +496,15 @@ def _prepare_levy(d, n, t_grid, R, key, b_n, mode, confidence, block_size, threa
         rhs = weights @ (np.abs(2.0 * np.arange(-n, n + 1))[:, None] > thr)
         return (lhs, 0), (rhs, 0), 4**n
 
-    def sides(rng, m):
-        x = draw(d, rng, (m, n))
-        x_prime = draw(d, rng, (m, n))
-        diff = x - x_prime
-        return norms(diff, space).max(axis=1) / b_n, norms(_summand_sums(diff), space) / b_n
+    def sides(rng, m, ws):
+        diff = draw(d, rng, ws("draws", (m, n, space.dim)))
+        diff -= draw(d, rng, ws("draws2", (m, n, space.dim)))
+        largest = norms(diff, space, out=ws("norms", (m, n))).max(axis=1)
+        return largest / b_n, norms(_summand_sums(diff), space) / b_n
 
+    # a replication holds X_1..X_n and X'_1..X'_n
     return _compare(
-        "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, exact
+        "levy", tg, 2.0, config, confidence, mode, R, key, block_size, threads, sides, 2 * n * space.dim, exact
     )
 
 
@@ -581,7 +617,8 @@ def _criterion_points(
     The symmetrized variant estimates the tail of ||X - X'|| instead;
     it always samples (no closed form is attempted).  A sampled sequence
     draws its criterion_R vectors in successive draws of at most
-    _BUDGET_ELEMENTS // dim, X and then X' per draw when symmetrized,
+    _BUDGET_ELEMENTS // dim into a workspace, X and then X' per draw
+    when symmetrized,
     and adds up each draw's integer counts and NaN counts; a NaN is
     refused once all criterion_R are counted.
     """
@@ -591,13 +628,14 @@ def _criterion_points(
         rng = key.substream(stream).generator()
         counts = np.zeros(len(b_at), dtype=np.int64)
         nan = 0
-        for size in _budget_draws(criterion_R, d.space.dim):
-            x = draw(d, rng, size)
-            if symmetrized:
-                x -= draw(d, rng, size)
-            part, part_nan = _counts_per_threshold(norms(x, d.space), b_at)
-            counts += part
-            nan += part_nan
+        with _workspace() as ws:
+            for size in _budget_draws(criterion_R, d.space.dim):
+                x = draw(d, rng, ws("draws", (size, d.space.dim)))
+                if symmetrized:
+                    x -= draw(d, rng, ws("draws2", (size, d.space.dim)))
+                part, part_nan = _counts_per_threshold(norms(x, d.space, out=ws("norms", (size,))), b_at)
+                counts += part
+                nan += part_nan
         _refuse_nan(nan, criterion_R, "criterion sequence", "Monte Carlo")
         sampled = _estimates(counts, criterion_R, confidence)
     return tuple(
@@ -613,12 +651,14 @@ def _prepare_wlln(
     """The input rules of run_wlln and cross_check_symmetrization; returns their pass.
 
     The pass gives the centered diagnostic, then the symmetrized one
-    when asked.  Each chunk of summands draws X and then, when
-    symmetrized, X' from the replication's stream, and the chunk width
-    divides _BUDGET_ELEMENTS among the running sums, so a draw holds at
-    most that many elements unless one summand per sum already exceeds
-    it.  These two rules fix which draw lands in which replication and
-    the order in which the sums add; changing either changes the results.
+    when asked.  Each piece of a block (_mc_pass) runs all its summands
+    before the next piece starts; each chunk of summands draws X and
+    then, when symmetrized, X' from the block's stream, and the chunk
+    width divides _BUDGET_ELEMENTS among the piece's running sums, so a
+    draw holds at most that many elements unless one summand per sum
+    already exceeds it.  These rules fix which draw lands in which
+    replication and the order in which the sums add; changing any of
+    them changes the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
     _require_mc(R, key, block_size, threads)
@@ -641,9 +681,10 @@ def _prepare_wlln(
         if symmetrized:
             criteria.append(_criterion_points(d, grid, b_at, key, criterion_R, confidence, symmetrized=True))
 
-        def statistics(rng, m):
+        def statistics(rng, m, ws):
             # sums[0] runs S_n; sums[1], when symmetrized, runs the copy S_n'
-            sums = np.zeros((k, m, dim))
+            sums = ws("draws2", (k, m, dim))
+            sums.fill(0.0)
             chunk = max(1, _BUDGET_ELEMENTS // (k * m * dim))
             prev = 0
             for n, gamma, b_n in zip(grid, gammas, b_at):
@@ -651,14 +692,15 @@ def _prepare_wlln(
                 while need > 0:
                     c = min(chunk, need)
                     for running in sums:
-                        running += _summand_sums(draw(d, rng, (m, c)))
+                        running += _summand_sums(draw(d, rng, ws("draws", (m, c, dim))))
                     need -= c
                 yield norms(sums[0] - gamma, space) / b_n
                 if symmetrized:
                     yield norms(sums[0] - sums[1], space) / b_n
                 prev = n
 
-        counts, _ = _mc_pass(caller, statistics, lam, R, key, block_size, threads)
+        # a replication holds k running sums of dim coordinates
+        counts, _ = _mc_pass(caller, statistics, k * dim, lam, R, key, block_size, threads)
         # rows run over n, and within each n over the variants
         counts = counts.reshape(len(grid), k, lam.size)
         config = _report_config(space, d, R=R, gamma_mode=gamma_mode)

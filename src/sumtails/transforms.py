@@ -18,6 +18,7 @@ from .sources import (
     StreamKey,
     _budget_draws,
     _require_stream,
+    _workspace,
     draw,
     truncated_mean,
 )
@@ -28,7 +29,7 @@ __all__ = ["rescale_factors", "gamma_n"]
 _RESCALE_SLICE = 1 << 14
 
 
-def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
+def rescale_factors(norm_values: np.ndarray, fp: FunctionPair, out: np.ndarray | None = None) -> np.ndarray:
     """Batched multipliers phi(psi_inverse(s))/s with 0 -> 0.
 
     Norms beyond psi(N) use the linear continuation of the last
@@ -38,20 +39,24 @@ def rescale_factors(norm_values: np.ndarray, fp: FunctionPair) -> np.ndarray:
     vector stays infinite instead of becoming NaN.  The norms go
     through fp.psi_inverse and fp.phi in slices of _RESCALE_SLICE
     elements; every step is elementwise, so the slicing changes no value.
+    out, a C-contiguous float64 array of the norms' shape, receives the
+    multipliers.
     """
     s = np.asarray(norm_values, dtype=float)
     flat = s.reshape(-1)
-    out = np.zeros(flat.shape)
+    out = np.empty(s.shape) if out is None else out
+    out.fill(0.0)
+    flat_out = out.reshape(-1)
     for start in range(0, flat.size, _RESCALE_SLICE):
         part = flat[start : start + _RESCALE_SLICE]
-        into = out[start : start + _RESCALE_SLICE]
+        into = flat_out[start : start + _RESCALE_SLICE]
         out_norm = fp.phi(fp.psi_inverse(part))
         positive = part > 0.0
         # inf / inf is the only invalid division here; its NaN is overwritten
         with np.errstate(invalid="ignore"):
             np.divide(out_norm, part, out=into, where=positive)
         into[part == np.inf] = fp.slope_ratio
-    return out.reshape(s.shape)
+    return out
 
 
 def _gamma_mode(d: DistributionSpec, mode: str) -> str:
@@ -92,7 +97,8 @@ def gamma_n(
     law has it, else Monte Carlo.  Monte Carlo mode draws R vectors from
     key.substream(STREAM_GAMMA), disjoint from the experiment's sample
     paths, for the whole grid, in successive draws of at most
-    _BUDGET_ELEMENTS // dim vectors, so its memory does not grow with R.
+    _BUDGET_ELEMENTS // dim vectors into a workspace, so its memory does
+    not grow with R.
     Each vector falls in the bin of the first b_n at or above its norm
     (a tie lies inside), each draw's bin sums add into the bins'
     coordinate sums, these accumulate along the grid, and row i is n_i
@@ -121,17 +127,18 @@ def gamma_n(
         dim = d.space.dim
         partial = np.zeros((b.size, dim))
         nan = 0
-        for size in _budget_draws(R, dim):
-            x = draw(d, rng, size)
-            nx = norms(x, d.space)
-            nan += int(np.count_nonzero(np.isnan(nx)))
-            # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid (NaN too), is
-            # dropped.  One bincount for every coordinate: cell j * (len(b) + 1) + i sums
-            # coordinate j of bin i in the draw's row order, as a bincount per coordinate would
-            cells = np.searchsorted(b, nx, side="left") + (b.size + 1) * np.arange(dim)[:, None]
-            sums = np.bincount(cells.ravel(), weights=x.T.ravel(), minlength=dim * (b.size + 1))
-            partial += sums.reshape(dim, b.size + 1)[:, :-1].T
-            del x, nx, cells  # held into the next draw, they would add about a budget to the peak
+        with _workspace() as ws:
+            for size in _budget_draws(R, dim):
+                x = draw(d, rng, ws("draws", (size, dim)))
+                nx = norms(x, d.space, out=ws("norms", (size,)))
+                nan += int(np.count_nonzero(np.isnan(nx)))
+                # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid (NaN too), is
+                # dropped.  One bincount for every coordinate: cell j * (len(b) + 1) + i sums
+                # coordinate j of bin i in the draw's row order, as a bincount per coordinate would
+                cells = np.searchsorted(b, nx, side="left") + (b.size + 1) * np.arange(dim)[:, None]
+                sums = np.bincount(cells.ravel(), weights=x.T.ravel(), minlength=dim * (b.size + 1))
+                partial += sums.reshape(dim, b.size + 1)[:, :-1].T
+                del cells  # held into the next draw, it would add about a budget to the peak
         _refuse_nan(nan, R, "gamma_n", "Monte Carlo")
         out = ns[:, None] * np.cumsum(partial, axis=0) / R
     return out if grid else out[0]

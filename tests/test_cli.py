@@ -646,8 +646,18 @@ _HUGE = 10**15  # elements: numpy refuses this many at once and allocates nothin
             dict(KEY_PATH_SWEEP["configs"][1], mode="mc", R=200, vectors={"random": {"count": _HUGE}}),
             "vectors",
         ),
-        # allocated only once the pass runs, in a single config, whose errors name no key path
-        ("run", dict(KEY_PATH_SWEEP["configs"][2], R=_HUGE, block_size=_HUGE), ""),
+        # one replication of _HUGE coordinates, allocated only once the pass runs, in a single
+        # config, whose errors name no key path (a block of _HUGE replications no longer
+        # allocates more than a piece)
+        (
+            "run",
+            dict(
+                KEY_PATH_SWEEP["configs"][2],
+                space={"dim": _HUGE, "q": 2},
+                distribution={"kind": "pareto_symmetric", "alpha": 1.5, "lifting": "iid_coordinates"},
+            ),
+            "",
+        ),
     ],
 )
 def test_size_too_large_to_allocate_is_rejected(tmp_path, capsys, command, cfg, path):
@@ -657,6 +667,16 @@ def test_size_too_large_to_allocate_is_rejected(tmp_path, capsys, command, cfg, 
     prefix = f"{path}: " if path else ""
     assert capsys.readouterr().err.startswith(f"error: {prefix}Unable to allocate")
 
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_replications_past_the_cap_are_refused_before_the_pass(tmp_path, capsys, command):
+    # a block of _HUGE replications used to fail its allocation at once; in pieces of one
+    # budget it allocates little and would run practically forever, so R is capped
+    cfg = dict(KEY_PATH_SWEEP["configs"][2], R=_HUGE, block_size=_HUGE, schema_version=1, seed=7)
+    p = _write_json(tmp_path / "big.json", cfg)
+    assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.strip() == f"error: Monte Carlo needs R <= 2^40, got {_HUGE}"
 
 def test_seed_outside_64_bits_is_rejected(tmp_path, capsys):
     # seed % 2**64 used to run seed 2**64 as seed 0 and seed -1 as 2**64 - 1

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from sumtails.sources import (
     uniform_ball,
     uniform_in_ball,
 )
-from sumtails.sources import _random_signs
+from sumtails.sources import _random_signs, _uniform
 from sumtails.space import SpaceSpec, norm, norms
 
 KEY = StreamKey(20260815)
@@ -106,13 +107,14 @@ def test_random_signs_are_fair():
 
 
 class _FixedUniforms:
-    """A stand-in generator whose random() returns the given uniforms."""
+    """A stand-in generator whose random(out=) writes the given uniforms."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, shape):
-        return self.u.reshape(shape).copy()
+    def random(self, *, out):
+        out[...] = self.u.reshape(out.shape)
+        return out
 
 
 def test_pareto_symmetric_from_one_uniform():
@@ -164,6 +166,52 @@ def test_linf_directions_in_dim_2():
     x = _directions(2, math.inf, KEY.replication(62))
     res = stats.kstest(np.min(np.abs(x), axis=1), stats.uniform.cdf)
     assert res.pvalue > 1e-3, res
+
+
+_OUT_SPECS = [
+    DistributionSpec(kind, SpaceSpec(dim, q), lifting, alpha=alpha, radius=radius)
+    for kind, alpha, radius in (
+        ("rademacher", None, None),
+        ("pareto_symmetric", 1.5, None),
+        ("pareto_one_sided", 0.8, None),
+        ("stable_symmetric", 1.0, None),
+        ("stable_symmetric", 1.5, None),
+        ("uniform_ball", None, 2.5),
+    )
+    for lifting, dim, q in (
+        ("scalar", 1, 2.0),
+        ("iid_coordinates", 3, 1.0),
+        ("radial", 2, math.inf),
+        ("radial", 3, 2.0),
+        ("radial", 2, 1.0),
+        ("radial", 2, 3.0),
+    )
+] + [point_mass([1.0, -2.0]), shifted(pareto_symmetric(1.2), 0.5)]
+
+
+@pytest.mark.parametrize("d", _OUT_SPECS, ids=lambda d: f"{d.kind}-{d.alpha}-{d.lifting}-{d.space.dim}-{d.space.q}")
+def test_draw_into_an_array_equals_a_fresh_draw(d):
+    # the array starts stale: every element must be written, bit for bit the fresh
+    # draw, and the generator must be left where the fresh draw leaves it
+    fresh_rng, out_rng = KEY.replication(70).generator(), KEY.replication(70).generator()
+    want = draw(d, fresh_rng, (37, 5))
+    out = np.full(want.shape, math.nan)
+    got = draw(d, out_rng, out)
+    assert got is out
+    assert np.array_equal(got, want)
+    assert fresh_rng.random() == out_rng.random()
+
+
+@pytest.mark.parametrize("lo, hi", [(-math.pi / 2, math.pi / 2), (-1.0, 1.0), (-2.5, 2.5)])
+def test_uniform_into_out_is_numpys_uniform(lo, hi):
+    want = KEY.generator().uniform(lo, hi, 10_000)
+    assert np.array_equal(_uniform(KEY.generator(), lo, hi, np.empty(10_000)), want)
+
+
+def test_draw_refuses_an_array_of_another_dim():
+    for shape in ((4, 2), ()):
+        with pytest.raises(ConfigurationError, match=re.escape(f"must end in an axis of 1, got shape {shape}")):
+            draw(pareto_symmetric(1.5), KEY.generator(), np.empty(shape))
 
 
 def test_spec_validation():

@@ -94,6 +94,11 @@ def test_norms_equal_the_reduce_bit_for_bit(dim, q):
         got, want = norms(a, sp), _reduce_norms(a, q)
         assert type(got) is type(want)
         assert np.array_equal(got, want)
+        if len(shape) > 1:
+            # a stale out receives the same bits
+            out = np.full(shape[:-1], np.nan)
+            assert np.array_equal(norms(a, sp, out=out), want)
+            assert np.array_equal(out, want)
 
 
 ANY_FLOAT = st.one_of(

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from sumtails.estimator import ENUMERATION_MAX_N, TailEstimate
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
     _BUDGET_ELEMENTS,
+    _random_signs,
     STREAM_CRITERION,
     STREAM_CRITERION_SYMM,
     StreamKey,
@@ -36,9 +38,9 @@ from sumtails.suite import (
     cross_check_symmetrization,
     run_wlln,
 )
-from sumtails import suite
+from sumtails import estimator, sources, suite
 from sumtails.suite import _classify, _counts_per_threshold, _criterion_points, _finish_report
-from sumtails.transforms import rescale_factors
+from sumtails.transforms import gamma_n, rescale_factors
 from test_acceptance import criterion_01_configs, criterion_02_configs
 from test_estimator import _per_bit_sign_norms
 
@@ -361,26 +363,160 @@ def test_thm11_ii_sides_replay_the_block_streams():
     assert lhs[5] != rhs[5]  # the rescale does move this law's sums
 
 
-def test_thm11_ii_block_memory():
-    # one block of m = 4096 replications of n = 64 radial draws in R^3: the
-    # draw holds m * n * 3 floats, and the magnitudes, the directions' norms
-    # and one temporary of those norms are three (m, n) arrays next to it;
-    # the rescale then scales the draw in place, so the block peaks at about
-    # the draw plus three (m, n) arrays (the previous kernel took 8, with a
-    # second (m, n, 3) array for the rescaled vectors)
-    m, n = 4096, 64
-    d = pareto_symmetric(1.5, SpaceSpec(dim=3), lifting="radial")
-    fp = build_function_pair(power_pair(64, 0.5, 1.0))
-    check_thm11_ii(d, fp, n, R=m, key=KEY, block_size=m)  # imports and caches out of the count
+_RADIAL_R3 = pareto_symmetric(1.5, SpaceSpec(dim=3), lifting="radial")
+_BLOCKS = {
+    # one block of 4096 replications of 256 draws in R^3: 12 budgets per draw
+    "thm11_ii": lambda: check_thm11_ii(
+        _RADIAL_R3, build_function_pair(power_pair(256, 0.5, 1.0)), 256, R=4096, key=KEY, block_size=4096
+    ),
+    # the same block of X and X': 24 budgets
+    "levy": lambda: check_levy(_RADIAL_R3, 256, R=4096, key=KEY, block_size=4096),
+    # one block of 2^16 replications of 64 draws in R^3: 48 budgets
+    "thm11_ii_block_2^16": lambda: check_thm11_ii(
+        _RADIAL_R3, build_function_pair(power_pair(64, 0.5, 1.0)), 64, R=2**16, key=KEY, block_size=2**16
+    ),
+}
+
+
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        check_thm11_ii(d, fp, n, R=m, key=KEY, block_size=m)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    mn = m * n * 8
-    assert peak < 3 * mn + 3.5 * mn, peak / mn
 
+
+@pytest.mark.parametrize("name", sorted(_BLOCKS))
+def test_monte_carlo_block_memory_is_a_few_budgets(monkeypatch, name):
+    # a block runs in pieces of at most a budget; the first pass fills one
+    # workspace, which the pieces of every later pass write into, so a warm
+    # pass allocates only a piece's temporaries, whatever the block's size
+    run, budget = _BLOCKS[name], 8 * _BUDGET_ELEMENTS
+    run()  # imports and caches out of the count
+    monkeypatch.setattr(sources, "_idle_workspaces", [])
+    cold, warm = _traced_peak(run), _traced_peak(run)
+    assert cold < 4 * budget, cold / budget
+    assert warm < 2 * budget, warm / budget
+    assert len(sources._idle_workspaces) == 1
+
+
+
+def test_a_workspace_keeps_four_budgets_whatever_ran_in_it(monkeypatch):
+    # every experiment writes into the same four roles, so the one workspace
+    # that thm11_ii, Levy, a signed comparison, the weak law and a Monte Carlo
+    # gamma_n ran in keeps four buffers of at most a budget each
+    monkeypatch.setattr(sources, "_idle_workspaces", [])
+    _BLOCKS["thm11_ii"]()
+    _BLOCKS["levy"]()
+    check_contraction([[0.5], [1.0]], [0.5, -0.5], SpaceSpec(1, 2), mode="mc", R=1000, key=KEY)
+    run_wlln(pareto_one_sided(2.0), power_pair(16, 0.5), R=1000, key=KEY)
+    iid = pareto_one_sided(1.5, SpaceSpec(2, 2), lifting="iid_coordinates")
+    gamma_n(iid, 2.0, 2, mode="monte_carlo", R=1000, key=KEY)
+    [ws] = sources._idle_workspaces
+    sizes = {role: buf.size for role, buf in ws._buffers.items()}
+    assert sorted(sizes) == ["draws", "draws2", "factors", "norms"]
+    assert max(sizes.values()) <= _BUDGET_ELEMENTS, sizes
+
+def _thm11_ii_block_oracle(d, fp, n, R, block, t):
+    """check_thm11_ii's counts with each block drawn whole from key.child(i)'s generator."""
+    a_n, b_n = fp.pair.at(n)
+    lhs = np.zeros(t.size, dtype=int)
+    rhs = np.zeros(t.size, dtype=int)
+    for i, start in enumerate(range(0, R, block)):
+        v = draw(d, KEY.child(i).generator(), (min(block, R - start), n))
+        nv = norms(v, d.space)
+        lhs += (norms(v.sum(axis=1), d.space)[:, None] / b_n > t).sum(axis=0)
+        v *= rescale_factors(nv, fp)[..., None]
+        rhs += (norms(v.sum(axis=1), d.space)[:, None] / a_n > t).sum(axis=0)
+    return lhs.tolist(), rhs.tolist()
+
+
+@pytest.mark.parametrize(
+    "d, block",
+    [
+        (pareto_symmetric(1.5), 4096),
+        (pareto_symmetric(1.5, SpaceSpec(2, math.inf), lifting="iid_coordinates"), 2048),
+    ],
+    ids=["scalar", "iid"],
+)
+def test_thm11_ii_pieces_count_what_the_whole_block_counts(d, block):
+    # n = 256: four pieces per block, drawn one after another from the block's
+    # generator; a scalar or iid Pareto draw is one generator call, so the
+    # pieces' draws are the whole block's and so are the counts
+    n, R = 256, 2 * block + 1000
+    fp = build_function_pair(power_pair(n, 0.5, 1.0))
+    assert list(suite._piece_rows(block, n * d.space.dim)) == [block // 4] * 4
+    reports = check_thm11_ii(d, fp, n, R=R, key=KEY, block_size=block)
+    t = np.array([r.t for r in reports])
+    lhs, rhs = _thm11_ii_block_oracle(d, fp, n, R, block, t)
+    assert [r.lhs.successes for r in reports] == lhs
+    assert [r.rhs.successes for r in reports] == rhs
+    assert 0 < lhs[10] < R and lhs[10] != rhs[10]
+
+
+def test_radial_pieces_give_one_count_at_any_thread_count(monkeypatch):
+    # three blocks of four pieces, claimed by 1, 2 or 3 workers at once, each
+    # writing into a workspace of its own; a short switch interval makes two
+    # workers that shared a workspace likely to show
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(sources, "_idle_workspaces", [])
+    n, block = 128, 2048
+    fp = build_function_pair(power_pair(n, 0.5, 1.0))
+    assert len(list(suite._piece_rows(block, n * 3))) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        counts = {
+            threads: [
+                (r.lhs.successes, r.rhs.successes)
+                for r in check_thm11_ii(_RADIAL_R3, fp, n, R=3 * block, key=KEY, block_size=block, threads=threads)
+            ]
+            for threads in (1, 2, 3)
+        }
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts[1] == counts[2] == counts[3]
+    assert 1 <= len(sources._idle_workspaces) <= 3
+
+
+@pytest.mark.parametrize("check", ["thm11_i", "contraction"])
+@pytest.mark.parametrize("n, R, block, rows", [(100, 5000, 4096, [2592, 1504]), (8200, 100, 64, [28, 28, 8])])
+def test_signed_pieces_count_what_the_whole_block_counts(check, n, R, block, rows):
+    # in R^1, n = 100 takes pieces of 2592 rows, a multiple of 32; n = 8200,
+    # where only 31 rows fit a budget, takes 28, a multiple of 32 // gcd(8200, 32);
+    # either way each piece's signs end on a whole 32-bit word, so the pieces'
+    # signs are the block's, and signs @ u in dim 1 rounds row by row, so
+    # every count is the whole block's
+    sp = SpaceSpec(1, 2)
+    x = uniform_in_ball(sp, 1.0, KEY.substream(9), n)
+    if check == "thm11_i":
+        fp = build_function_pair(power_pair(n, 0.5, 1.0))
+        a_n, b_n = fp.pair.at(n)
+        reports = check_thm11_i(x, fp, sp, mode="mc", R=R, key=KEY, block_size=block)
+        u, u_scale, v, v_scale = x, b_n, x * rescale_factors(norms(x, sp), fp)[:, None], a_n
+    else:
+        w = np.linspace(-1.0, 1.0, n)
+        reports = check_contraction(x, w, sp, mode="mc", R=R, key=KEY, block_size=block)
+        u, u_scale, v, v_scale = w[:, None] * x, 1.0, x, 1.0
+    assert list(suite._piece_rows(block, n)) == rows
+    t = np.array([r.t for r in reports])
+    lhs = np.zeros(t.size, dtype=int)
+    rhs = np.zeros(t.size, dtype=int)
+    for i, m in enumerate((block, R - block)):
+        signs = _random_signs(KEY.child(i).generator(), (m, n))
+        lhs += (norms(signs @ u, sp)[:, None] / u_scale > t).sum(axis=0)
+        rhs += (norms(signs @ v, sp)[:, None] / v_scale > t).sum(axis=0)
+    assert [r.lhs.successes for r in reports] == lhs.tolist()
+    assert [r.rhs.successes for r in reports] == rhs.tolist()
+
+
+
+def test_pieces_split_a_sign_word_only_when_no_aligned_row_count_fits():
+    # 8193 signs a row: a whole word takes 32 rows, and only 31 fit a budget,
+    # so these pieces, and the signed comparisons that draw them, move
+    assert list(suite._piece_rows(64, 8193)) == [31, 31, 2]
+    assert list(suite._piece_rows(64, 8192)) == [32, 32]
 
 def test_thm11_ii_requires_symmetry():
     fp = build_function_pair(power_pair(8, 0.5, 1.0))

@@ -101,6 +101,16 @@ def test_rescale_batch_matches_scalar():
     assert np.array_equal(rescale_factors(s, fp), oracle)
 
 
+def test_rescale_factors_into_a_stale_out():
+    # out starts as NaN: a zero norm must still get its 0, and every other
+    # multiplier the bits of a fresh call, in slices and past psi(N)
+    s = np.concatenate(([0.0, math.inf, 0.0], np.linspace(0.0, 20.0, 40_000)))
+    out = np.full(s.shape, math.nan)
+    assert rescale_factors(s, SQRT_PAIR, out=out) is out
+    assert np.array_equal(out, rescale_factors(s, SQRT_PAIR))
+    assert out[0] == 0.0 and out[2] == 0.0
+
+
 def test_rescale_norm_monotone():
     s = np.linspace(0.0, 16.0, 2000)
     out = s * rescale_factors(s, SQRT_PAIR)
@@ -163,7 +173,7 @@ def test_gamma_errors():
 def test_gamma_monte_carlo_states_the_one_stream_rule():
     # gamma_n raises what every Monte Carlo checker raises, from the one rule in sources
     d = shifted(stable_symmetric(1.5), [1.0])
-    for R, key in ((50, KEY), (99, KEY), (None, KEY), (1000, None), (None, None)):
+    for R, key in ((50, KEY), (99, KEY), (2**40 + 1, KEY), (None, KEY), (1000, None), (None, None)):
         with pytest.raises(ConfigurationError) as got:
             gamma_n(d, 2.0, 5, mode="monte_carlo", R=R, key=key)
         with pytest.raises(ConfigurationError) as shared:
@@ -173,6 +183,8 @@ def test_gamma_monte_carlo_states_the_one_stream_rule():
         gamma_n(d, 2.0, 5, mode="monte_carlo", R=50, key=KEY)
     with pytest.raises(ConfigurationError, match=r"^Monte Carlo needs a StreamKey$"):
         gamma_n(d, 2.0, 5, mode="monte_carlo", R=1000, key=None)
+    with pytest.raises(ConfigurationError, match=r"^Monte Carlo needs R <= 2\^40, got 1099511627777$"):
+        gamma_n(d, 2.0, 5, mode="monte_carlo", R=2**40 + 1, key=KEY)
     assert gamma_n(d, 2.0, 5, mode="monte_carlo", R=100, key=KEY).shape == (1,)
 
 
@@ -260,12 +272,12 @@ def test_gamma_counts_nans_over_every_draw(monkeypatch):
     step = _BUDGET_ELEMENTS
     calls = []
 
-    def fake_draw(d, rng, size):
-        x = np.full((size, 1), 0.5)
+    def fake_draw(d, rng, out):
+        out.fill(0.5)
         if calls:
-            x[-1, 0] = math.nan
-        calls.append(size)
-        return x
+            out[-1, 0] = math.nan
+        calls.append(len(out))
+        return out
 
     monkeypatch.setattr(transforms, "draw", fake_draw)
     R = 2 * step + 10

@@ -7,10 +7,12 @@ through sumtails.cli.run, imported from this checkout's src/, into a
 temporary directory.  The line "NAME SEED DIGEST" covers the
 results.csv of every config of the workload in order, as the
 benchmark's own digest does; under it, one indented line
-"config I DIGEST" per config gives that config's results.csv alone, so
-a declared stream change can show which configs moved.  Two checkouts
-that print the same lines wrote the same bytes, which is the gate for a
-change that must not move any result.
+"config I DIGEST" per config gives that config's results.csv alone, and
+under a sweep's, one line "config_index J DIGEST" per sub-config gives
+the header and that sub-config's rows, so a declared stream change can
+show which configs moved.  Two checkouts that print the same lines
+wrote the same bytes, which is the gate for a change that must not
+move any result.
 
 --write PATH writes the same lines to PATH under a first line naming
 the numpy version and the CPU that computed them; GOLDEN,
@@ -24,6 +26,7 @@ numpy on the same machine.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import platform
 import sys
@@ -41,8 +44,19 @@ from sumtails import cli  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
+def sub_config_digests(data: bytes) -> list[str]:
+    """Per config_index of a sweep's results.csv: the digest of the header and that index's rows."""
+    header, *rows = data.decode().splitlines(keepends=True)
+    column = next(csv.reader([header])).index("config_index")
+    groups: dict[int, str] = {}
+    for row in rows:
+        j = int(next(csv.reader([row]))[column])
+        groups[j] = groups.get(j, header) + row
+    return [f"config_index {j} {hashlib.sha256(groups[j].encode()).hexdigest()}" for j in sorted(groups)]
+
+
 def digests(name: str, seed: int) -> tuple[str, list[str]]:
-    """The workload's combined digest and each config's own."""
+    """The workload's combined digest and its indented lines: each config's own, then each sub-config's."""
     workload = WORKLOADS[name](seed)
     h = hashlib.sha256()
     per_config = []
@@ -54,14 +68,16 @@ def digests(name: str, seed: int) -> tuple[str, list[str]]:
                 raise SystemExit(f"{name} seed {seed}: config {i} exited with code {code}")
             data = (out / "results.csv").read_bytes()
             h.update(data)
-            per_config.append(hashlib.sha256(data).hexdigest())
+            per_config.append(f"  config {i} {hashlib.sha256(data).hexdigest()}")
+            if cfg["experiment"] == "sweep":
+                per_config += [f"    {line}" for line in sub_config_digests(data)]
     return h.hexdigest(), per_config
 
 
 def lines(name: str, seed: int) -> list[str]:
     """The printed lines of one workload at one seed."""
     combined, per_config = digests(name, seed)
-    return [f"{name} {seed} {combined}"] + [f"  config {i} {d}" for i, d in enumerate(per_config)]
+    return [f"{name} {seed} {combined}"] + per_config
 
 
 def provenance() -> str:

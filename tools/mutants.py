@@ -156,8 +156,10 @@ MUTANTS = (
     Mutant(
         "scaled_before_lhs",
         "suite.py",
-        "        s_l = norms(_summand_sums(v), space) / b_n\n        v *= rescale_factors(nv, fp)[..., None]",
-        "        v *= rescale_factors(nv, fp)[..., None]\n        s_l = norms(_summand_sums(v), space) / b_n",
+        "        s_l = norms(_summand_sums(v), space) / b_n\n"
+        '        v *= rescale_factors(nv, fp, out=ws("factors", (m, n)))[..., None]',
+        '        v *= rescale_factors(nv, fp, out=ws("factors", (m, n)))[..., None]\n'
+        "        s_l = norms(_summand_sums(v), space) / b_n",
     ),
     # the Monte Carlo gamma_n grid: bins, their accumulation and the NaN refusal
     Mutant(
@@ -201,14 +203,14 @@ MUTANTS = (
     Mutant(
         "uniform_l2_directions",
         "sources.py",
-        "g = rng.standard_normal(full)",
-        "g = rng.uniform(-1.0, 1.0, full)",
+        "g = rng.standard_normal(out=out)",
+        "g = _uniform(rng, -1.0, 1.0, out)",
     ),
     Mutant(
         "unsigned_l1_directions",
         "sources.py",
-        "g = rng.standard_exponential(full) * _random_signs(rng, full)",
-        "g = rng.standard_exponential(full)",
+        "g = rng.standard_exponential(out=out)\n        g *= _random_signs(rng, g.shape)\n",
+        "g = rng.standard_exponential(out=out)\n",
     ),
     Mutant("signs_without_count", "sources.py", "dtype=np.uint8), count=n)", "dtype=np.uint8))"),
     Mutant("pareto_magnitude_unscaled", "sources.py", "        u *= 2.0\n", ""),
@@ -318,6 +320,26 @@ MUTANTS = (
         "suite.py",
         "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)",
         "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / max(a_n, b_n))",
+    ),
+    # the pieces of a block: their counts add up, each at most a budget, one stream per block
+    Mutant(
+        "block_pieces_overwrite",
+        "suite.py",
+        "total = _add(total, piece(rng, rows, ws))",
+        "total = piece(rng, rows, ws)",
+    ),
+    Mutant("block_budget_ignored", "suite.py", "for rows in _piece_rows(m, per_rep):", "for rows in [m]:"),
+    Mutant(
+        "piece_restarts_stream",
+        "suite.py",
+        "total = _add(total, piece(rng, rows, ws))",
+        'total = _add(total, piece(__import__("copy").deepcopy(rng), rows, ws))',
+    ),
+    Mutant(
+        "draw_out_ignored",
+        "sources.py",
+        "        out, shape = shape, shape.shape[:-1]\n",
+        "        out, shape = np.empty(shape.shape), shape.shape[:-1]\n",
     ),
     # power: an rhs that counts every replication whose lhs exceeds can never be violated
     Mutant(
