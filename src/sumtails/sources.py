@@ -50,8 +50,8 @@ STREAM_CRITERION = 3
 STREAM_VECTORS = 4
 STREAM_CRITERION_SYMM = 5
 
-# float64 elements of one Monte Carlo array: a piece of a block, a chunk of
-# summands for every running sum of a piece, or a gamma_n or criterion draw;
+# float64 elements of one Monte Carlo array: a block's draws, a chunk of
+# summands for every running sum of a block, or a gamma_n or criterion draw;
 # 2 MB, a typical L2 cache
 _BUDGET_ELEMENTS = 1 << 18
 
@@ -113,7 +113,7 @@ class StreamKey:
         return np.random.Generator(np.random.Philox(key=key))
 
 
-# a bound on run time, not on memory (a block runs in pieces of one budget
+# a bound on run time, not on memory (a block holds at most one budget
 # whatever R is): 2^40 replications of a single summand each take more than
 # half a day at 1.8e7 summands a second, the Monte Carlo sweep's measured rate
 _MAX_R = 1 << 40
@@ -391,19 +391,13 @@ def draw(d: DistributionSpec, rng: np.random.Generator, shape) -> np.ndarray:
     return dirs
 
 
-def _budget_draws(count: int, dim: int) -> list[int]:
-    """The sizes of successive draws of count vectors, each at most _BUDGET_ELEMENTS // dim."""
-    step = max(1, _BUDGET_ELEMENTS // dim)
-    return [min(step, count - start) for start in range(0, count, step)]
-
-
 class _Workspace:
     """The float64 buffers that a worker's Monte Carlo arrays are written into.
 
     ws(role, shape) is a view of the buffer of that role, grown to the
-    largest shape asked of it, so steady-state pieces need no new buffer.
+    largest shape asked of it, so steady-state blocks need no new buffer.
     Every caller shares the four roles: "draws" and "draws2" for arrays
-    of up to a budget (a piece's draws or signs, X', the weak law's
+    of up to a budget (a block's draws or signs, X', the weak law's
     running sums, a gamma_n or criterion draw), "norms" and "factors"
     for one value per vector.  So a workspace holds at most four
     budgets, whatever ran in it before.  A request past
@@ -438,6 +432,23 @@ def _workspace():
     yield ws
     with _idle_lock:
         _idle_workspaces.append(ws)
+
+
+def _budget_norms(d: DistributionSpec, rng: np.random.Generator, count: int, symmetrized: bool = False):
+    """(x, norms(x)) for count vectors of d from rng, in successive draws of at most _BUDGET_ELEMENTS // dim.
+
+    Each draw goes into a workspace and is overwritten by the next; when
+    symmetrized, x is X - X', X drawn first.
+    """
+    dim = d.space.dim
+    step = max(1, _BUDGET_ELEMENTS // dim)
+    with _workspace() as ws:
+        for start in range(0, count, step):
+            size = min(step, count - start)
+            x = draw(d, rng, ws("draws", (size, dim)))
+            if symmetrized:
+                x -= draw(d, rng, ws("draws2", (size, dim)))
+            yield x, norms(x, d.space, out=ws("norms", (size,)))
 
 
 def sample(d: DistributionSpec, k: StreamKey, count: int) -> np.ndarray:

@@ -21,7 +21,6 @@ from .errors import ConfigurationError, _refuse_nan
 from .estimator import (
     DEFAULT_BLOCK_SIZE,
     TailEstimate,
-    _add,
     _estimates,
     _require_block_size,
     _require_confidence,
@@ -35,9 +34,10 @@ from .sources import (
     STREAM_CRITERION,
     STREAM_CRITERION_SYMM,
     _BUDGET_ELEMENTS,
+    _MAX_R,
     DistributionSpec,
     StreamKey,
-    _budget_draws,
+    _budget_norms,
     _random_signs,
     _require_stream,
     _workspace,
@@ -176,55 +176,33 @@ def _counts_per_threshold(stat: np.ndarray, thresholds) -> tuple[np.ndarray, int
     return valid - at_most, nan
 
 
-def _piece_rows(m: int, per_rep: int):
-    """The rows of the successive pieces of a block of m replications, per_rep elements each.
-
-    A piece holds at most _BUDGET_ELEMENTS elements unless one
-    replication already exceeds them.  Its rows are a multiple of 32
-    when more than 32 fit, else of 32 // gcd(per_rep, 32) when that many
-    fit, so that per_rep random signs a row end on a whole 32-bit word
-    and the signs of the pieces are the block's.  Only a replication of
-    more than 8192 elements of which fewer than 32 // gcd(per_rep, 32)
-    fit the budget (per_rep = 8193, say) splits a word between pieces.
-    """
-    step = max(1, _BUDGET_ELEMENTS // per_rep)
-    align = 32 if step > 32 else 32 // math.gcd(per_rep, 32)
-    if step >= align:
-        step -= step % align
-    return (min(step, m - start) for start in range(0, m, step))
-
-
 def _mc_pass(name, statistics, per_rep, thresholds, R, key, block_size, threads):
     """Success counts of every statistic at every threshold over R replications.
 
     statistics(rng, m, ws) yields arrays holding one statistic of m
-    replications each, then any ints to total over all blocks; its
-    largest array holds per_rep elements per replication, and ws is the
-    sources._Workspace its arrays may go into.  Each block runs as pieces of
-    _piece_rows, one after another from the block's one generator, and
-    adds up their counts, so no array grows with the block size.
+    replications each, then any ints to total over all blocks; ws is the
+    sources._Workspace its arrays may go into.  per_rep is e, the
+    float64 elements one replication holds at once in the block's draws,
+    signs or running sums (README, Reproducibility).  Block i holds at
+    most min(block_size, max(1, _BUDGET_ELEMENTS // e)) replications and
+    draws whole from key.child(i), so no array grows with the block size.
     Returns the (statistics x thresholds) count matrix and the totals of
     those ints; a NaN statistic is refused, never skipped.
     """
-    def piece(rng, m, ws):
+    def block(rng, m):
         counts, extra, nan = [], [], 0
-        for s in statistics(rng, m, ws):
-            if isinstance(s, int):
-                extra.append(s)
-                continue
-            c, s_nan = _counts_per_threshold(s, thresholds)
-            counts.append(c)
-            nan += s_nan
+        with _workspace() as ws:
+            for s in statistics(rng, m, ws):
+                if isinstance(s, int):
+                    extra.append(s)
+                    continue
+                c, s_nan = _counts_per_threshold(s, thresholds)
+                counts.append(c)
+                nan += s_nan
         return np.array(counts), np.array(extra, dtype=np.int64), nan
 
-    def block(rng, m):
-        total = None
-        with _workspace() as ws:
-            for rows in _piece_rows(m, per_rep):
-                total = _add(total, piece(rng, rows, ws))
-        return total
-
-    counts, extra, nan = mc_counts(block, R, key, block_size=block_size, threads=threads)
+    rows = min(block_size, max(1, _BUDGET_ELEMENTS // per_rep))
+    counts, extra, nan = mc_counts(block, R, key, block_size=rows, threads=threads)
     _refuse_nan(nan, len(counts) * R, name, "Monte Carlo")
     return counts, extra
 
@@ -616,11 +594,9 @@ def _criterion_points(
 
     The symmetrized variant estimates the tail of ||X - X'|| instead;
     it always samples (no closed form is attempted).  A sampled sequence
-    draws its criterion_R vectors in successive draws of at most
-    _BUDGET_ELEMENTS // dim into a workspace, X and then X' per draw
-    when symmetrized,
-    and adds up each draw's integer counts and NaN counts; a NaN is
-    refused once all criterion_R are counted.
+    draws its criterion_R vectors through sources._budget_norms and adds
+    up each draw's integer counts and NaN counts; a NaN is refused once
+    all criterion_R are counted.
     """
     analytic_vals = [None if symmetrized else tail_prob(d, b_n) for b_n in b_at]
     if any(v is None for v in analytic_vals):
@@ -628,14 +604,10 @@ def _criterion_points(
         rng = key.substream(stream).generator()
         counts = np.zeros(len(b_at), dtype=np.int64)
         nan = 0
-        with _workspace() as ws:
-            for size in _budget_draws(criterion_R, d.space.dim):
-                x = draw(d, rng, ws("draws", (size, d.space.dim)))
-                if symmetrized:
-                    x -= draw(d, rng, ws("draws2", (size, d.space.dim)))
-                part, part_nan = _counts_per_threshold(norms(x, d.space, out=ws("norms", (size,))), b_at)
-                counts += part
-                nan += part_nan
+        for _, nx in _budget_norms(d, rng, criterion_R, symmetrized):
+            part, part_nan = _counts_per_threshold(nx, b_at)
+            counts += part
+            nan += part_nan
         _refuse_nan(nan, criterion_R, "criterion sequence", "Monte Carlo")
         sampled = _estimates(counts, criterion_R, confidence)
     return tuple(
@@ -651,20 +623,21 @@ def _prepare_wlln(
     """The input rules of run_wlln and cross_check_symmetrization; returns their pass.
 
     The pass gives the centered diagnostic, then the symmetrized one
-    when asked.  Each piece of a block (_mc_pass) runs all its summands
-    before the next piece starts; each chunk of summands draws X and
-    then, when symmetrized, X' from the block's stream, and the chunk
-    width divides _BUDGET_ELEMENTS among the piece's running sums, so a
-    draw holds at most that many elements unless one summand per sum
-    already exceeds it.  These rules fix which draw lands in which
-    replication and the order in which the sums add; changing any of
-    them changes the results.
+    when asked.  Each block (_mc_pass) runs all its summands; each chunk
+    of summands draws X and then, when symmetrized, X' from the block's
+    stream, and the chunk width divides _BUDGET_ELEMENTS among the
+    block's running sums, so a draw holds at most that many elements
+    unless one summand per sum already exceeds it.  These rules fix
+    which draw lands in which replication and the order in which the
+    sums add; changing any of them changes the results.
     """
     caller = "cross_check_symmetrization" if symmetrized else "run_wlln"
     _require_mc(R, key, block_size, threads)
     _require_confidence(confidence)
     if criterion_R < 1:
         raise ConfigurationError(f"criterion_R must be >= 1, got {criterion_R}")
+    if criterion_R > _MAX_R:
+        raise ConfigurationError(f"criterion_R must be <= 2^40, got {criterion_R}")
     _require_ratio_monotone(pair)
     grid = _default_n_grid(len(pair)) if n_grid is None else _validate_n_grid(n_grid)
     b_at = [pair.at(n)[1] for n in grid]

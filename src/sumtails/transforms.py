@@ -11,17 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, _refuse_nan
 from .norming import FunctionPair
-from .space import norms
-from .sources import (
-    STREAM_GAMMA,
-    DistributionSpec,
-    StreamKey,
-    _budget_draws,
-    _require_stream,
-    _workspace,
-    draw,
-    truncated_mean,
-)
+from .sources import STREAM_GAMMA, DistributionSpec, StreamKey, _budget_norms, _require_stream, truncated_mean
 
 __all__ = ["rescale_factors", "gamma_n"]
 
@@ -96,9 +86,8 @@ def gamma_n(
     Pareto/uniform laws and their shifts; 'auto' takes it whenever the
     law has it, else Monte Carlo.  Monte Carlo mode draws R vectors from
     key.substream(STREAM_GAMMA), disjoint from the experiment's sample
-    paths, for the whole grid, in successive draws of at most
-    _BUDGET_ELEMENTS // dim vectors into a workspace, so its memory does
-    not grow with R.
+    paths, for the whole grid, through sources._budget_norms, so its
+    memory does not grow with R.
     Each vector falls in the bin of the first b_n at or above its norm
     (a tie lies inside), each draw's bin sums add into the bins'
     coordinate sums, these accumulate along the grid, and row i is n_i
@@ -127,18 +116,15 @@ def gamma_n(
         dim = d.space.dim
         partial = np.zeros((b.size, dim))
         nan = 0
-        with _workspace() as ws:
-            for size in _budget_draws(R, dim):
-                x = draw(d, rng, ws("draws", (size, dim)))
-                nx = norms(x, d.space, out=ws("norms", (size,)))
-                nan += int(np.count_nonzero(np.isnan(nx)))
-                # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid (NaN too), is
-                # dropped.  One bincount for every coordinate: cell j * (len(b) + 1) + i sums
-                # coordinate j of bin i in the draw's row order, as a bincount per coordinate would
-                cells = np.searchsorted(b, nx, side="left") + (b.size + 1) * np.arange(dim)[:, None]
-                sums = np.bincount(cells.ravel(), weights=x.T.ravel(), minlength=dim * (b.size + 1))
-                partial += sums.reshape(dim, b.size + 1)[:, :-1].T
-                del cells  # held into the next draw, it would add about a budget to the peak
+        for x, nx in _budget_norms(d, rng, R):
+            nan += int(np.count_nonzero(np.isnan(nx)))
+            # bin i holds b[i-1] < ||x|| <= b[i]; bin len(b), past the grid (NaN too), is
+            # dropped.  One bincount for every coordinate: cell j * (len(b) + 1) + i sums
+            # coordinate j of bin i in the draw's row order, as a bincount per coordinate would
+            cells = np.searchsorted(b, nx, side="left") + (b.size + 1) * np.arange(dim)[:, None]
+            sums = np.bincount(cells.ravel(), weights=x.T.ravel(), minlength=dim * (b.size + 1))
+            partial += sums.reshape(dim, b.size + 1)[:, :-1].T
+            del cells  # held into the next draw, it would add about a budget to the peak
         _refuse_nan(nan, R, "gamma_n", "Monte Carlo")
         out = ns[:, None] * np.cumsum(partial, axis=0) / R
     return out if grid else out[0]

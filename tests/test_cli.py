@@ -648,7 +648,7 @@ _HUGE = 10**15  # elements: numpy refuses this many at once and allocates nothin
         ),
         # one replication of _HUGE coordinates, allocated only once the pass runs, in a single
         # config, whose errors name no key path (a block of _HUGE replications no longer
-        # allocates more than a piece)
+        # allocates more than a budget)
         (
             "run",
             dict(
@@ -671,8 +671,8 @@ def test_size_too_large_to_allocate_is_rejected(tmp_path, capsys, command, cfg, 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_replications_past_the_cap_are_refused_before_the_pass(tmp_path, capsys, command):
-    # a block of _HUGE replications used to fail its allocation at once; in pieces of one
-    # budget it allocates little and would run practically forever, so R is capped
+    # a block of _HUGE replications used to fail its allocation at once; in blocks of at
+    # most one budget it allocates little and would run practically forever, so R is capped
     cfg = dict(KEY_PATH_SWEEP["configs"][2], R=_HUGE, block_size=_HUGE, schema_version=1, seed=7)
     p = _write_json(tmp_path / "big.json", cfg)
     assert cli.main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 2

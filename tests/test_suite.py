@@ -389,9 +389,9 @@ def _traced_peak(run) -> int:
 
 @pytest.mark.parametrize("name", sorted(_BLOCKS))
 def test_monte_carlo_block_memory_is_a_few_budgets(monkeypatch, name):
-    # a block runs in pieces of at most a budget; the first pass fills one
-    # workspace, which the pieces of every later pass write into, so a warm
-    # pass allocates only a piece's temporaries, whatever the block's size
+    # a block holds at most a budget; the first pass fills one workspace,
+    # which the blocks of every later pass write into, so a warm pass
+    # allocates only a block's temporaries, whatever block_size is
     run, budget = _BLOCKS[name], 8 * _BUDGET_ELEMENTS
     run()  # imports and caches out of the count
     monkeypatch.setattr(sources, "_idle_workspaces", [])
@@ -418,52 +418,98 @@ def test_a_workspace_keeps_four_budgets_whatever_ran_in_it(monkeypatch):
     assert sorted(sizes) == ["draws", "draws2", "factors", "norms"]
     assert max(sizes.values()) <= _BUDGET_ELEMENTS, sizes
 
-def _thm11_ii_block_oracle(d, fp, n, R, block, t):
-    """check_thm11_ii's counts with each block drawn whole from key.child(i)'s generator."""
+def _thm11_ii_case(d, n):
+    fp = build_function_pair(power_pair(n, 0.5, 1.0))
     a_n, b_n = fp.pair.at(n)
+
+    def sides(rng, m):
+        v = draw(d, rng, (m, n))
+        nv = norms(v, d.space)
+        lhs = norms(v.sum(axis=1), d.space) / b_n
+        v *= rescale_factors(nv, fp)[..., None]
+        return lhs, norms(v.sum(axis=1), d.space) / a_n
+
+    return lambda **kw: check_thm11_ii(d, fp, n, key=KEY, **kw), sides, n * d.space.dim
+
+
+def _signed_case(check, n):
+    sp = SpaceSpec(1, 2)
+    x = uniform_in_ball(sp, 1.0, KEY.substream(9), n)
+    if check == "thm11_i":
+        fp = build_function_pair(power_pair(n, 0.5, 1.0))
+        a_n, b_n = fp.pair.at(n)
+        run = lambda **kw: check_thm11_i(x, fp, sp, mode="mc", key=KEY, **kw)
+        u, u_scale, v, v_scale = x, b_n, x * rescale_factors(norms(x, sp), fp)[:, None], a_n
+    else:
+        w = np.linspace(-1.0, 1.0, n)
+        # the default grid, up to 1.2 * sum ||x_i||, leaves every t past sqrt(n) unreached
+        tg = np.linspace(0.0, math.sqrt(n), 50)
+        run = lambda **kw: check_contraction(x, w, sp, t_grid=tg, mode="mc", key=KEY, **kw)
+        u, u_scale, v, v_scale = w[:, None] * x, 1.0, x, 1.0
+
+    def sides(rng, m):
+        signs = _random_signs(rng, (m, n))
+        return norms(signs @ u, sp) / u_scale, norms(signs @ v, sp) / v_scale
+
+    return run, sides, n
+
+
+def _levy_case(d, n, b_n):
+    def sides(rng, m):
+        diff = draw(d, rng, (m, n)) - draw(d, rng, (m, n))
+        return norms(diff, d.space).max(axis=1) / b_n, norms(diff.sum(axis=1), d.space) / b_n
+
+    return lambda **kw: check_levy(d, n, key=KEY, b_n=b_n, **kw), sides, 2 * n * d.space.dim
+
+
+# name: ((run, the two sides of m replications drawn from a generator, e), R, block_size)
+_WHOLE_BLOCK_CASES = {
+    # n = 256: a block holds 1024, 512 and 341 replications
+    "thm11_ii-scalar": (_thm11_ii_case(pareto_symmetric(1.5), 256), 9192, 4096),
+    "thm11_ii-iid": (
+        _thm11_ii_case(pareto_symmetric(1.5, SpaceSpec(2, math.inf), lifting="iid_coordinates"), 256),
+        5096,
+        2048,
+    ),
+    "thm11_ii-radial": (_thm11_ii_case(_RADIAL_R3, 256), 3000, 4096),
+    # 100 signs a replication: the block size binds; 8200: a block holds 31,
+    # whose signs end inside a 32-bit word, and the next block has its own key
+    "thm11_i-100": (_signed_case("thm11_i", 100), 5000, 2048),
+    "contraction-100": (_signed_case("contraction", 100), 5000, 2048),
+    "thm11_i-8200": (_signed_case("thm11_i", 8200), 100, 64),
+    "contraction-8200": (_signed_case("contraction", 8200), 100, 64),
+    # X and X' of 128 draws in R^3: a block holds 341
+    "levy": (_levy_case(_RADIAL_R3, 128, 64.0), 3000, 4096),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WHOLE_BLOCK_CASES))
+def test_blocks_count_what_whole_block_draws_count(case):
+    # block i holds min(block_size, 2^18 // e) replications, e elements each,
+    # and draws them whole from KEY.child(i)'s generator
+    (run, sides, e), R, block = _WHOLE_BLOCK_CASES[case]
+    reports = run(R=R, block_size=block)
+    rows = min(block, 2**18 // e)
+    t = np.array([r.t for r in reports])
     lhs = np.zeros(t.size, dtype=int)
     rhs = np.zeros(t.size, dtype=int)
-    for i, start in enumerate(range(0, R, block)):
-        v = draw(d, KEY.child(i).generator(), (min(block, R - start), n))
-        nv = norms(v, d.space)
-        lhs += (norms(v.sum(axis=1), d.space)[:, None] / b_n > t).sum(axis=0)
-        v *= rescale_factors(nv, fp)[..., None]
-        rhs += (norms(v.sum(axis=1), d.space)[:, None] / a_n > t).sum(axis=0)
-    return lhs.tolist(), rhs.tolist()
+    for i, start in enumerate(range(0, R, rows)):
+        left, right = sides(KEY.child(i).generator(), min(rows, R - start))
+        lhs += (left[:, None] > t).sum(axis=0)
+        rhs += (right[:, None] > t).sum(axis=0)
+    assert [r.lhs.successes for r in reports] == lhs.tolist()
+    assert [r.rhs.successes for r in reports] == rhs.tolist()
+    assert lhs.tolist() != rhs.tolist() and any(0 < c < R for c in lhs)
 
 
-@pytest.mark.parametrize(
-    "d, block",
-    [
-        (pareto_symmetric(1.5), 4096),
-        (pareto_symmetric(1.5, SpaceSpec(2, math.inf), lifting="iid_coordinates"), 2048),
-    ],
-    ids=["scalar", "iid"],
-)
-def test_thm11_ii_pieces_count_what_the_whole_block_counts(d, block):
-    # n = 256: four pieces per block, drawn one after another from the block's
-    # generator; a scalar or iid Pareto draw is one generator call, so the
-    # pieces' draws are the whole block's and so are the counts
-    n, R = 256, 2 * block + 1000
-    fp = build_function_pair(power_pair(n, 0.5, 1.0))
-    assert list(suite._piece_rows(block, n * d.space.dim)) == [block // 4] * 4
-    reports = check_thm11_ii(d, fp, n, R=R, key=KEY, block_size=block)
-    t = np.array([r.t for r in reports])
-    lhs, rhs = _thm11_ii_block_oracle(d, fp, n, R, block, t)
-    assert [r.lhs.successes for r in reports] == lhs
-    assert [r.rhs.successes for r in reports] == rhs
-    assert 0 < lhs[10] < R and lhs[10] != rhs[10]
-
-
-def test_radial_pieces_give_one_count_at_any_thread_count(monkeypatch):
-    # three blocks of four pieces, claimed by 1, 2 or 3 workers at once, each
+def test_radial_blocks_give_one_count_at_any_thread_count(monkeypatch):
+    # ten budget-sized blocks, claimed by 1, 2 or 3 workers at once, each
     # writing into a workspace of its own; a short switch interval makes two
     # workers that shared a workspace likely to show
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 8)
     monkeypatch.setattr(sources, "_idle_workspaces", [])
     n, block = 128, 2048
     fp = build_function_pair(power_pair(n, 0.5, 1.0))
-    assert len(list(suite._piece_rows(block, n * 3))) == 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -479,44 +525,6 @@ def test_radial_pieces_give_one_count_at_any_thread_count(monkeypatch):
     assert counts[1] == counts[2] == counts[3]
     assert 1 <= len(sources._idle_workspaces) <= 3
 
-
-@pytest.mark.parametrize("check", ["thm11_i", "contraction"])
-@pytest.mark.parametrize("n, R, block, rows", [(100, 5000, 4096, [2592, 1504]), (8200, 100, 64, [28, 28, 8])])
-def test_signed_pieces_count_what_the_whole_block_counts(check, n, R, block, rows):
-    # in R^1, n = 100 takes pieces of 2592 rows, a multiple of 32; n = 8200,
-    # where only 31 rows fit a budget, takes 28, a multiple of 32 // gcd(8200, 32);
-    # either way each piece's signs end on a whole 32-bit word, so the pieces'
-    # signs are the block's, and signs @ u in dim 1 rounds row by row, so
-    # every count is the whole block's
-    sp = SpaceSpec(1, 2)
-    x = uniform_in_ball(sp, 1.0, KEY.substream(9), n)
-    if check == "thm11_i":
-        fp = build_function_pair(power_pair(n, 0.5, 1.0))
-        a_n, b_n = fp.pair.at(n)
-        reports = check_thm11_i(x, fp, sp, mode="mc", R=R, key=KEY, block_size=block)
-        u, u_scale, v, v_scale = x, b_n, x * rescale_factors(norms(x, sp), fp)[:, None], a_n
-    else:
-        w = np.linspace(-1.0, 1.0, n)
-        reports = check_contraction(x, w, sp, mode="mc", R=R, key=KEY, block_size=block)
-        u, u_scale, v, v_scale = w[:, None] * x, 1.0, x, 1.0
-    assert list(suite._piece_rows(block, n)) == rows
-    t = np.array([r.t for r in reports])
-    lhs = np.zeros(t.size, dtype=int)
-    rhs = np.zeros(t.size, dtype=int)
-    for i, m in enumerate((block, R - block)):
-        signs = _random_signs(KEY.child(i).generator(), (m, n))
-        lhs += (norms(signs @ u, sp)[:, None] / u_scale > t).sum(axis=0)
-        rhs += (norms(signs @ v, sp)[:, None] / v_scale > t).sum(axis=0)
-    assert [r.lhs.successes for r in reports] == lhs.tolist()
-    assert [r.rhs.successes for r in reports] == rhs.tolist()
-
-
-
-def test_pieces_split_a_sign_word_only_when_no_aligned_row_count_fits():
-    # 8193 signs a row: a whole word takes 32 rows, and only 31 fit a budget,
-    # so these pieces, and the signed comparisons that draw them, move
-    assert list(suite._piece_rows(64, 8193)) == [31, 31, 2]
-    assert list(suite._piece_rows(64, 8192)) == [32, 32]
 
 def test_thm11_ii_requires_symmetry():
     fp = build_function_pair(power_pair(8, 0.5, 1.0))
@@ -1015,6 +1023,20 @@ def test_criterion_counts_add_up_over_budgeted_draws():
     diffs = [draw(d, rng, size) - draw(d, rng, size) for size in (step, step, 1234)]
     want = [int(np.count_nonzero(norms(np.concatenate(diffs), d.space) > b)) for b in b_at]
     assert [c.p.successes for c in out.symmetrized.criterion] == want
+
+
+@pytest.mark.parametrize("run", [run_wlln, cross_check_symmetrization])
+def test_criterion_replications_past_the_cap_are_refused_before_any_draw(monkeypatch, run):
+    # a criterion sequence holds one budget of draws at a time whatever criterion_R
+    # is, so a huge one would run practically forever; it takes R's cap instead
+    def no_draw(*args):
+        raise AssertionError("drew before the refusal")
+
+    for module in (sources, suite):
+        monkeypatch.setattr(module, "draw", no_draw)
+    d = pareto_one_sided(1.5, SpaceSpec(2, 2.0), "iid_coordinates")
+    with pytest.raises(ConfigurationError, match=r"^criterion_R must be <= 2\^40, got 1099511627777$"):
+        run(d, power_pair(16, 0.5), R=100, key=KEY, criterion_R=2**40 + 1)
 
 
 def test_criterion_nan_count_covers_every_draw():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sumtails import transforms
+from sumtails import sources
 from sumtails.errors import ConfigurationError, DomainError
 from sumtails.norming import NormingPair, build_function_pair, power_pair
 from sumtails.sources import (
@@ -256,7 +256,7 @@ def test_gamma_draws_in_budgeted_chunks():
 
 def _patched_draw(monkeypatch, values):
     x = np.asarray(values, dtype=float)[:, None]
-    monkeypatch.setattr(transforms, "draw", lambda d, rng, R: x.copy())
+    monkeypatch.setattr(sources, "draw", lambda d, rng, R: x.copy())
 
 
 def test_gamma_refuses_a_nan_draw(monkeypatch):
@@ -279,7 +279,7 @@ def test_gamma_counts_nans_over_every_draw(monkeypatch):
         calls.append(len(out))
         return out
 
-    monkeypatch.setattr(transforms, "draw", fake_draw)
+    monkeypatch.setattr(sources, "draw", fake_draw)
     R = 2 * step + 10
     with pytest.raises(DomainError, match=rf"^gamma_n: 2 of {R} Monte Carlo statistics are NaN"):
         gamma_n(pareto_one_sided(1.5), 2.0, 2, mode="monte_carlo", R=R, key=KEY)

@@ -177,21 +177,17 @@ MUTANTS = (
     ),
     # the byte budget: gamma_n and the criterion add up their budgeted draws
     Mutant("gamma_chunk_overwrites", "transforms.py", "partial += sums.reshape(", "partial = sums.reshape("),
-    Mutant(
-        "budget_ignored_in_gamma",
-        "transforms.py",
-        "for size in _budget_draws(R, dim):",
-        "for size in [R]:",
-    ),
     Mutant("criterion_last_chunk_only", "suite.py", "            counts += part\n", "            counts = part\n"),
     Mutant("gamma_nan_last_draw_only", "transforms.py", "nan += int(np.count_nonzero(", "nan = int(np.count_nonzero("),
     Mutant("criterion_nan_last_draw_only", "suite.py", "nan += part_nan", "nan = part_nan"),
+    Mutant("budget_ignored_in_draws", "sources.py", "step = max(1, _BUDGET_ELEMENTS // dim)", "step = max(1, count)"),
     Mutant(
-        "budget_ignored_in_criterion",
-        "suite.py",
-        "for size in _budget_draws(criterion_R, d.space.dim):",
-        "for size in [criterion_R]:",
+        "symmetrized_draws_undifferenced",
+        "sources.py",
+        '                x -= draw(d, rng, ws("draws2", (size, dim)))\n',
+        '                draw(d, rng, ws("draws2", (size, dim)))\n',
     ),
+    Mutant("criterion_r_uncapped", "suite.py", "    if criterion_R > _MAX_R:\n", "    if False:\n"),
     Mutant(
         "budget_ignored_in_chunks",
         "suite.py",
@@ -321,20 +317,20 @@ MUTANTS = (
         "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / b_n)",
         "tg = _t_grid(t_grid, 1.2 * float(np.sum(xnorms)) / max(a_n, b_n))",
     ),
-    # the pieces of a block: their counts add up, each at most a budget, one stream per block
+    # the one level of blocks: each holds at most min(block_size, budget // e) replications
     Mutant(
-        "block_pieces_overwrite",
+        "budget_rows_ignored",
         "suite.py",
-        "total = _add(total, piece(rng, rows, ws))",
-        "total = piece(rng, rows, ws)",
+        "rows = min(block_size, max(1, _BUDGET_ELEMENTS // per_rep))",
+        "rows = block_size",
     ),
-    Mutant("block_budget_ignored", "suite.py", "for rows in _piece_rows(m, per_rep):", "for rows in [m]:"),
     Mutant(
-        "piece_restarts_stream",
+        "block_size_ignored",
         "suite.py",
-        "total = _add(total, piece(rng, rows, ws))",
-        'total = _add(total, piece(__import__("copy").deepcopy(rng), rows, ws))',
+        "rows = min(block_size, max(1, _BUDGET_ELEMENTS // per_rep))",
+        "rows = max(1, _BUDGET_ELEMENTS // per_rep)",
     ),
+    Mutant("thm11_ii_per_rep_without_dim", "suite.py", "sides, n * space.dim, tail=tail", "sides, n, tail=tail"),
     Mutant(
         "draw_out_ignored",
         "sources.py",
